@@ -34,6 +34,9 @@ into one vectorised rebase — ``SpanKernel(descent=False)`` is that older
 ladder, kept as the bit-for-bit A/B control these rows race against.
 """
 
+import dataclasses
+import gc
+import statistics
 import time
 
 from bench_support import check, size
@@ -47,6 +50,7 @@ EPSILON = 0.1
 BLOCK_LENGTH = 4_096
 RECORD_EVERY = 20_000
 SEED = 31  # the E17 stream seed, so rows are comparable across benchmarks
+REPEATS = 5  # timed runs per batched arm; each finishes in ~0.1 s
 
 
 def _fingerprint(result):
@@ -77,14 +81,39 @@ def _base_spec(num_sites: int, tracker: str, stream: str = "random_walk", **para
     )
 
 
-def _timed_run(spec, kernel=None):
-    built = spec.build()
-    if kernel is not None:
-        for site in built.network.sites:
+def _timed_run(spec, kernel=None, workload=None):
+    """Time one run; ``workload`` (a built run) lends its updates to a fresh network."""
+    if workload is None:
+        built = spec.build()
+    else:
+        built = dataclasses.replace(workload, network=spec.build_network())
+    # Sites are built on first touch; build them all before the clock starts
+    # so every arm times the same work, whether or not it swaps the kernel.
+    for site in built.network.sites:
+        if kernel is not None:
             site.span_kernel = kernel
     begin = time.perf_counter()
     result = built.run()
     return time.perf_counter() - begin, result
+
+
+def _race(spec, *kernels):
+    """Median seconds over ``REPEATS`` runs and a result for each kernel arm.
+
+    The arms run interleaved (A, B, A, B, ...) so a stretch of host noise
+    slows every arm alike instead of landing on one of them, and the median
+    ignores a lone run the host slowed or sped up.  ``None`` is the default
+    kernel.
+    """
+    workload = spec.build()
+    seconds = [[] for _ in kernels]
+    results = [None] * len(kernels)
+    for _ in range(REPEATS):
+        for arm, kernel in enumerate(kernels):
+            gc.collect()  # no arm pays for the garbage of the run before it
+            elapsed, results[arm] = _timed_run(spec, kernel, workload)
+            seconds[arm].append(elapsed)
+    return [statistics.median(arm) for arm in seconds], results
 
 
 def _measure():
@@ -96,8 +125,9 @@ def _measure():
             slow_seconds, slow = _timed_run(
                 base.with_overrides({"engine": "per-update"})
             )
-            seed_seconds, seed_result = _timed_run(base, single_close)
-            fast_seconds, fast = _timed_run(base)
+            (seed_seconds, fast_seconds), (seed_result, fast) = _race(
+                base, single_close, None
+            )
             # Fast-forwarding must be invisible in every counter, at any
             # scale — the speed is the only thing allowed to change.
             assert _fingerprint(slow) == _fingerprint(seed_result) == _fingerprint(fast)
@@ -126,7 +156,7 @@ def _measure_cross_level():
             slow_seconds, slow = _timed_run(
                 base.with_overrides({"engine": "per-update"})
             )
-            fast_seconds, fast = _timed_run(base)
+            (fast_seconds,), (fast,) = _race(base, None)
             assert _fingerprint(slow) == _fingerprint(fast)
             rows.append(
                 [
@@ -161,8 +191,9 @@ def _measure_descent():
             slow_seconds, slow = _timed_run(
                 base.with_overrides({"engine": "per-update"})
             )
-            control_seconds, control = _timed_run(base, monotone_ladder)
-            fast_seconds, fast = _timed_run(base)
+            (control_seconds, fast_seconds), (control, fast) = _race(
+                base, monotone_ladder, None
+            )
             assert _fingerprint(slow) == _fingerprint(control) == _fingerprint(fast)
             rows.append(
                 [

@@ -19,20 +19,17 @@ aggregation node only ever talks to its own fan-out many children, whatever
   with the updates/s figure recorded in the benchmark JSON; per-level
   message counts must decrease strictly from the leaves to the root.
 * **Million-site lazy point.**  A 4-level tree over ``k = 10^6`` sites
-  driven by the tree-direct columnar engine
-  (:func:`repro.monitoring.runner.run_tracking_tree_arrays`): leaves are
-  built lazily (:func:`build_tree_network`), so construction costs
-  O(touched leaves) and the whole point — build plus run — fits the CI
-  smoke budget.  The leaf-materialisation count is asserted structurally:
-  only leaves the trace touches exist.
+  driven by the columnar engine
+  (:func:`repro.monitoring.runner.run_tracking_arrays`): leaves are built
+  lazily (:func:`build_tree_network`), so construction costs O(touched
+  leaves) and the whole point — build plus run — fits the CI smoke budget.
+  The leaf-materialisation count is asserted structurally: only leaves the
+  trace touches exist.
 * **High leaf-touch dispatch.**  The same million-site tree fed 16-update
-  segments that hop leaves almost every segment — the regime where
-  per-segment routing (leaf lookup, wrapper-chain walk, capability rescans)
-  used to rival the kernel work itself.  The tree-direct engine's flattened
-  dispatch (segment destinations gathered in one vectorised pass, leaf
-  networks and push chains resolved once) must beat the generic columnar
-  engine's per-segment ``_locate`` descent by >= 2x on a fresh copy of the
-  same workload, bit for bit.
+  segments that hop leaves almost every segment — the regime where a
+  replay used to pay for every site of every touched leaf.  Sites are built
+  on first touch and no leaf closes a block here, so the replay builds
+  exactly one site per distinct site in the trace (asserted exactly).
 """
 
 import time
@@ -44,7 +41,7 @@ from bench_support import check, size
 from repro.analysis import root_traffic_fraction
 from repro.api import RunSpec, SourceSpec, TopologySpec, TrackerSpec
 from repro.core import DeterministicCounter
-from repro.monitoring.runner import run_tracking_arrays, run_tracking_tree_arrays
+from repro.monitoring.runner import run_tracking_arrays
 from repro.monitoring.tree import _LazyLeafNetwork, build_tree_network
 
 LENGTH = size(120_000, 4_000)
@@ -70,9 +67,6 @@ MILLION_BLOCK = 4_096
 # on a different leaf and dispatch overhead, not kernel math, is the cost.
 HIGH_TOUCH_BLOCK = 16
 HIGH_TOUCH_LENGTH = size(200_000, 10_000)
-# The generic-engine control replays a shorter prefix (it is the slow side
-# of the >= 2x claim); rates, not wall-clocks, are compared.
-HIGH_TOUCH_CONTROL_LENGTH = size(40_000, 5_000)
 
 
 def _spec(length, sites, seed, **topology):
@@ -180,7 +174,7 @@ def _measure_million():
     )
     build_seconds = time.perf_counter() - build_start
     run_start = time.perf_counter()
-    result = run_tracking_tree_arrays(
+    result = run_tracking_arrays(
         network, times, sites, deltas, record_every=size(20_000, 2_000)
     )
     run_seconds = time.perf_counter() - run_start
@@ -200,70 +194,34 @@ def _measure_million():
     }
 
 
-def _high_touch_network():
-    return build_tree_network(
+def _measure_high_touch():
+    """The million-site tree replaying 16-update segments that hop leaves."""
+    times, sites, deltas = _million_columns(
+        length=HIGH_TOUCH_LENGTH, block=HIGH_TOUCH_BLOCK, seed=41
+    )
+    network = build_tree_network(
         DeterministicCounter(MILLION_SITES, EPSILON),
         levels=4,
         fanout=10,
         epsilon_split="geometric",
     )
-
-
-def _result_fingerprint(result):
-    return (
-        [(r.time, r.true_value, r.estimate) for r in result.records],
-        result.total_messages,
-        result.total_bits,
-        result.messages_by_kind,
-    )
-
-
-def _measure_high_touch():
-    """Tree-direct vs generic columnar dispatch when segments hop leaves.
-
-    Three fresh copies of the same million-site tree replay the same
-    16-update-block trace: the tree-direct engine over the full trace (the
-    headline rate), the generic columnar engine over a prefix (the control
-    rate — it re-locates the owning leaf per segment), and the tree-direct
-    engine over that same prefix (pinning bit-for-bit agreement between the
-    two dispatch paths on this exact workload).
-    """
-    record_every = size(20_000, 2_000)
-    times, sites, deltas = _million_columns(
-        length=HIGH_TOUCH_LENGTH, block=HIGH_TOUCH_BLOCK, seed=41
-    )
     start = time.perf_counter()
-    direct_result = run_tracking_tree_arrays(
-        _high_touch_network(), times, sites, deltas, record_every=record_every
+    result = run_tracking_arrays(
+        network, times, sites, deltas, record_every=size(20_000, 2_000)
     )
-    direct_seconds = time.perf_counter() - start
-
-    head = slice(0, HIGH_TOUCH_CONTROL_LENGTH)
-    start = time.perf_counter()
-    generic_result = run_tracking_arrays(
-        _high_touch_network(),
-        times[head],
-        sites[head],
-        deltas[head],
-        record_every=record_every,
-    )
-    generic_seconds = time.perf_counter() - start
-    direct_head = run_tracking_tree_arrays(
-        _high_touch_network(),
-        times[head],
-        sites[head],
-        deltas[head],
-        record_every=record_every,
+    seconds = time.perf_counter() - start
+    built_sites = sum(
+        leaf.network.num_built_sites
+        for leaf in network.leaves()
+        if not isinstance(leaf.network, _LazyLeafNetwork)
     )
     return {
-        "result": direct_result,
-        "direct_seconds": direct_seconds,
-        "updates_per_second": HIGH_TOUCH_LENGTH / direct_seconds,
-        "generic_updates_per_second": HIGH_TOUCH_CONTROL_LENGTH / generic_seconds,
-        "fingerprints_equal": (
-            _result_fingerprint(direct_head) == _result_fingerprint(generic_result)
-        ),
+        "result": result,
+        "updates_per_second": HIGH_TOUCH_LENGTH / seconds,
         "segments": int(np.count_nonzero(np.diff(sites)) + 1),
+        "built_sites": built_sites,
+        "distinct_sites": int(np.unique(sites).size),
+        "true_value": int(deltas.sum()),
     }
 
 
@@ -322,7 +280,7 @@ def test_bench_e21_tree_scaling(benchmark, table_printer):
     )
     table_printer(
         f"E21 / trees — million-site lazy point (k={MILLION_SITES}, "
-        f"n={MILLION_LENGTH}, levels=4, fanout=10, tree-direct columnar engine)",
+        f"n={MILLION_LENGTH}, levels=4, fanout=10, columnar engine)",
         [
             "build s",
             "run s",
@@ -348,24 +306,13 @@ def test_bench_e21_tree_scaling(benchmark, table_printer):
     table_printer(
         f"E21 / trees — high leaf-touch dispatch (k={MILLION_SITES}, "
         f"n={HIGH_TOUCH_LENGTH}, block={HIGH_TOUCH_BLOCK}, levels=4, fanout=10)",
-        [
-            "segments",
-            "tree-direct up/s",
-            "generic up/s",
-            "speedup",
-            "bit-for-bit",
-        ],
+        ["segments", "updates/s", "sites built", "distinct sites"],
         [
             [
                 high_touch["segments"],
                 round(high_touch["updates_per_second"]),
-                round(high_touch["generic_updates_per_second"]),
-                round(
-                    high_touch["updates_per_second"]
-                    / high_touch["generic_updates_per_second"],
-                    2,
-                ),
-                high_touch["fingerprints_equal"],
+                high_touch["built_sites"],
+                high_touch["distinct_sites"],
             ]
         ],
     )
@@ -442,19 +389,11 @@ def test_bench_e21_tree_scaling(benchmark, table_printer):
         million["build_seconds"] < 5.0,
         f"lazy million-site build took {million['build_seconds']:.1f}s",
     )
-    # High leaf-touch dispatch: both engines must agree bit for bit on the
-    # shared prefix (structural — the flattening changed dispatch, never
-    # semantics), and the tree-direct engine must beat the generic columnar
-    # engine's per-segment _locate descent by >= 2x where segments hop
-    # leaves (measured ~5-7x; 2x is the design floor for this regime).
-    assert high_touch["fingerprints_equal"], (
-        "tree-direct and generic columnar engines diverged on the high "
-        "leaf-touch workload"
+    # High leaf-touch dispatch pays per touched site: no leaf closes a block
+    # on this trace, so the replay builds exactly one site per distinct site
+    # it addresses, and still ends on the true running total.
+    assert high_touch["built_sites"] == high_touch["distinct_sites"], (
+        f"built {high_touch['built_sites']} sites for "
+        f"{high_touch['distinct_sites']} distinct sites in the trace"
     )
-    check(
-        high_touch["updates_per_second"]
-        >= 2.0 * high_touch["generic_updates_per_second"],
-        f"tree-direct dispatch under 2x the generic engine at high "
-        f"leaf-touch: {high_touch['updates_per_second']:.0f} vs "
-        f"{high_touch['generic_updates_per_second']:.0f} updates/s",
-    )
+    assert high_touch["result"].records[-1].true_value == high_touch["true_value"]

@@ -22,6 +22,7 @@ three configurations must also agree bit-for-bit on the protocol's
 outputs — that part is structural and asserted in smoke mode too.
 """
 
+import gc
 import time
 
 from bench_support import check, size
@@ -40,6 +41,7 @@ EPSILON = 0.1
 BLOCK_LENGTH = 4_096
 RECORD_EVERY = 20_000
 REPEATS = 3  # best-of, to keep scheduler noise out of the overhead ratios
+CONFIGS = ("off", "metrics", "metrics+trace")
 
 
 def _workload(length: int) -> list:
@@ -72,34 +74,46 @@ def _build_network(engine):
 
 
 def _timed_run(updates, engine, batched, config):
-    """One run under ``config``; returns (updates/s, result fingerprint)."""
-    best = float("inf")
-    fingerprint = None
-    for repeat in range(REPEATS + 1):
-        network = _build_network(engine)
-        if config == "metrics":
-            instrument_network(network)
-        elif config == "metrics+trace":
-            instrument_network(network, trace=TraceLog(capacity=4096))
-        start = time.perf_counter()
-        if engine == "lossy-async":
-            result = run_tracking_async(
-                network, updates, record_every=RECORD_EVERY
-            )
-        else:
-            result = run_tracking(
-                network, updates, record_every=RECORD_EVERY, batched=batched
-            )
-        elapsed = time.perf_counter() - start
-        if repeat > 0:  # the first pass only warms caches and the allocator
-            best = min(best, elapsed)
-        fingerprint = (
-            [(r.time, r.estimate, r.true_value) for r in result.records],
-            result.total_messages,
-            result.total_bits,
-            dict(result.messages_by_kind),
+    """One run under ``config``; returns (seconds, result fingerprint)."""
+    network = _build_network(engine)
+    if config == "metrics":
+        instrument_network(network)
+    elif config == "metrics+trace":
+        instrument_network(network, trace=TraceLog(capacity=4096))
+    gc.collect()  # no config pays for the garbage of the run before it
+    start = time.perf_counter()
+    if engine == "lossy-async":
+        result = run_tracking_async(network, updates, record_every=RECORD_EVERY)
+    else:
+        result = run_tracking(
+            network, updates, record_every=RECORD_EVERY, batched=batched
         )
-    return len(updates) / best, fingerprint
+    elapsed = time.perf_counter() - start
+    fingerprint = (
+        [(r.time, r.estimate, r.true_value) for r in result.records],
+        result.total_messages,
+        result.total_bits,
+        dict(result.messages_by_kind),
+    )
+    return elapsed, fingerprint
+
+
+def _race(updates, engine, batched):
+    """Best-of-``REPEATS`` updates/s and a fingerprint for every config.
+
+    The configs run interleaved (off, metrics, trace, off, ...) so a stretch
+    of host noise slows every config alike instead of landing on one of them.
+    """
+    best = {config: float("inf") for config in CONFIGS}
+    fingerprints = {}
+    for repeat in range(REPEATS + 1):
+        for config in CONFIGS:
+            elapsed, fingerprints[config] = _timed_run(
+                updates, engine, batched, config
+            )
+            if repeat > 0:  # the first round only warms caches and the allocator
+                best[config] = min(best[config], elapsed)
+    return {config: len(updates) / best[config] for config in CONFIGS}, fingerprints
 
 
 def _measure():
@@ -109,14 +123,8 @@ def _measure():
         ("batched", True, BATCHED_N),
         ("lossy-async", False, LOSSY_N),
     ):
-        updates = _workload(length)
-        rates = {}
-        fingerprints = {}
-        for config in ("off", "metrics", "metrics+trace"):
-            rates[config], fingerprints[config] = _timed_run(
-                updates, engine, batched, config
-            )
-        for config in ("off", "metrics", "metrics+trace"):
+        rates, fingerprints = _race(_workload(length), engine, batched)
+        for config in CONFIGS:
             overhead = 1.0 - rates[config] / rates["off"]
             rows.append(
                 [

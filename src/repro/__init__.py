@@ -60,6 +60,7 @@ from repro.exceptions import (
     ProtocolError,
     QueryError,
     ReproError,
+    SpecError,
     StreamError,
 )
 from repro.lowerbounds import (
@@ -97,7 +98,6 @@ from repro.monitoring import (
     build_sharded_network,
     run_tracking,
     run_tracking_arrays,
-    run_tracking_tree_arrays,
 )
 from repro.sketches import AmsF2Sketch, CountMinSketch, CRPrecis
 from repro.streams import (
@@ -121,6 +121,7 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "ProtocolError",
+    "SpecError",
     "QueryError",
     "StreamError",
     # types
@@ -166,7 +167,6 @@ __all__ = [
     "build_sharded_network",
     "run_tracking",
     "run_tracking_arrays",
-    "run_tracking_tree_arrays",
     "build_sharded_async_network",
     # asynchrony
     "AsyncChannel",

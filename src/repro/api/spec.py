@@ -17,9 +17,8 @@ implements behind one serializable dataclass:
 * **transport** — synchronous instant delivery, or the discrete-event
   asynchronous channel with a named latency model;
 * **engine** — per-update dispatch, the span kernel's batched fast path,
-  columnar array replay (routed tree-direct through
-  :func:`~repro.monitoring.runner.run_tracking_tree_arrays` when the
-  topology is hierarchical), or ``auto``.
+  columnar array replay (one engine for every topology; a tree builds only
+  the leaves and sites its trace touches), or ``auto``.
 
 The lifecycle is ``validate() -> build() -> run()``: validation centralizes
 every cross-axis combination check that used to live scattered across the
@@ -49,12 +48,11 @@ from repro.baselines import (
     StaticThresholdCounter,
 )
 from repro.core import DeterministicCounter, RandomizedCounter
-from repro.exceptions import ProtocolError
+from repro.exceptions import ProtocolError, SpecError
 from repro.monitoring.runner import (
     TrackingResult,
     run_tracking,
     run_tracking_arrays,
-    run_tracking_tree_arrays,
 )
 from repro.monitoring.sharding import (
     ContiguousSharding,
@@ -185,7 +183,7 @@ ENGINE_NAMES = ("auto", "per-update", "batched", "arrays")
 
 def _check_name(value: str, allowed: Sequence[str], field_path: str) -> None:
     if value not in allowed:
-        raise ValueError(
+        raise SpecError(
             f"{field_path}={value!r} is not a known choice; pick one of "
             f"{sorted(allowed)}"
         )
@@ -251,21 +249,21 @@ class SourceSpec:
                 f"source.trace={self.trace!r})"
             )
         if self.stream is None and self.trace is None and not self.live:
-            raise ValueError(
+            raise SpecError(
                 "the source axis needs a workload: set source.stream (a "
                 f"generator from {sorted(STREAM_REGISTRY)}) or source.trace "
                 "(a recorded trace file)"
             )
         if self.live and self.sites < 1:
-            raise ValueError(f"source.sites must be >= 1, got {self.sites}")
+            raise SpecError(f"source.sites must be >= 1, got {self.sites}")
         if self.stream is not None:
             _check_name(self.stream, tuple(STREAM_REGISTRY), "source.stream")
             if self.length < 1:
-                raise ValueError(
+                raise SpecError(
                     f"source.length must be >= 1, got {self.length}"
                 )
             if self.sites < 1:
-                raise ValueError(f"source.sites must be >= 1, got {self.sites}")
+                raise SpecError(f"source.sites must be >= 1, got {self.sites}")
             _check_name(self.assignment, ASSIGNMENT_NAMES, "source.assignment")
         if self.mmap:
             if self.trace is None:
@@ -274,7 +272,7 @@ class SourceSpec:
                     "source.trace to point at a binary .npz trace"
                 )
             if not str(self.trace).endswith(".npz"):
-                raise ValueError(
+                raise SpecError(
                     "source.mmap applies to binary .npz traces only, got "
                     f"source.trace={self.trace!r}"
                 )
@@ -294,7 +292,7 @@ class SourceSpec:
             return SkewedAssignment(**params)
         if self.assignment == "single_site":
             return SingleSiteAssignment(**params)
-        raise ValueError(
+        raise SpecError(
             f"source.assignment={self.assignment!r} is not a known choice; "
             f"pick one of {sorted(ASSIGNMENT_NAMES)}"
         )
@@ -354,11 +352,11 @@ class TrackerSpec:
     def validate(self) -> None:
         _check_name(self.name, TRACKER_NAMES, "tracker.name")
         if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(
+            raise SpecError(
                 f"tracker.epsilon must be in (0, 1), got {self.epsilon}"
             )
         if self.name == "static" and self.threshold < 1:
-            raise ValueError(
+            raise SpecError(
                 f"tracker.threshold must be >= 1, got {self.threshold}"
             )
 
@@ -380,7 +378,7 @@ class TrackerSpec:
             return StaticThresholdCounter(
                 num_sites, self.threshold, self.epsilon
             )
-        raise ValueError(
+        raise SpecError(
             f"tracker.name={self.name!r} is not a known choice; pick one of "
             f"{sorted(TRACKER_NAMES)}"
         )
@@ -450,7 +448,7 @@ class TopologySpec:
 
     def validate(self) -> None:
         if self.shards < 1:
-            raise ValueError(
+            raise SpecError(
                 f"topology.shards must be >= 1 (1 = flat star topology), "
                 f"got {self.shards}"
             )
@@ -472,12 +470,12 @@ class TopologySpec:
             self.epsilon_split, EPSILON_SPLIT_NAMES, "topology.epsilon_split"
         )
         if not 0.0 < self.split_ratio < 1.0:
-            raise ValueError(
+            raise SpecError(
                 f"topology.split_ratio must be in (0, 1), got "
                 f"{self.split_ratio}"
             )
         if self.broadcast_deadband < 0.0:
-            raise ValueError(
+            raise SpecError(
                 f"topology.broadcast_deadband must be >= 0, got "
                 f"{self.broadcast_deadband}"
             )
@@ -542,7 +540,7 @@ class TransportSpec:
         _check_name(self.latency, LATENCY_NAMES, "transport.latency")
         _check_name(self.loss_model, LOSS_MODEL_NAMES, "transport.loss_model")
         if self.scale < 0:
-            raise ValueError(
+            raise SpecError(
                 f"transport.scale must be >= 0, got {self.scale}"
             )
         if self.latency == "zero" and self.scale > 0:
@@ -558,7 +556,7 @@ class TransportSpec:
                 "is the paper's instant-delivery model)"
             )
         if not 0.0 <= self.loss < 1.0:
-            raise ValueError(
+            raise SpecError(
                 f"transport.loss must be in [0, 1) so retransmission can "
                 f"terminate, got {self.loss}"
             )
@@ -576,7 +574,7 @@ class TransportSpec:
                 "reply-to-broadcast gap to repair)"
             )
         if not self.loss_burst >= 1.0:
-            raise ValueError(
+            raise SpecError(
                 f"transport.loss_burst must be >= 1 attempt, got "
                 f"{self.loss_burst}"
             )
@@ -585,14 +583,14 @@ class TransportSpec:
             and self.loss > 0
             and self.loss / (1.0 - self.loss) > self.loss_burst
         ):
-            raise ValueError(
+            raise SpecError(
                 f"transport.loss={self.loss} with transport.loss_burst="
                 f"{self.loss_burst} is infeasible for the burst model "
                 "(the good-to-bad transition probability would exceed 1); "
                 "lower the loss or lengthen the bursts"
             )
         if not self.timeout > 0:
-            raise ValueError(
+            raise SpecError(
                 f"transport.timeout must be > 0, got {self.timeout}"
             )
 
@@ -613,7 +611,7 @@ class TransportSpec:
             return UniformLatency(self.scale / 2.0, 1.5 * self.scale)
         if self.latency == "heavytail":
             return HeavyTailLatency(self.scale, alpha=1.5, cap=100.0 * self.scale)
-        raise ValueError(
+        raise SpecError(
             f"transport.latency={self.latency!r} is not a known choice; "
             f"pick one of {sorted(LATENCY_NAMES)}"
         )
@@ -704,7 +702,7 @@ class RunSpec:
         engine = self.canonical_engine()
         _check_name(engine, ENGINE_NAMES, "engine")
         if self.record_every < 1:
-            raise ValueError(
+            raise SpecError(
                 f"record_every must be >= 1, got {self.record_every}"
             )
         if engine == "arrays" and self.transport.mode == "async":
@@ -741,7 +739,7 @@ class RunSpec:
             (self.source.stream is not None or self.source.live)
             and self.topology.shards > self.source.sites
         ):
-            raise ValueError(
+            raise SpecError(
                 f"topology.shards={self.topology.shards} needs at least one "
                 f"site per shard, but source.sites={self.source.sites}"
             )
@@ -752,7 +750,7 @@ class RunSpec:
             for fan in self.topology.resolve_fanouts():
                 min_leaves *= fan
             if min_leaves > self.source.sites:
-                raise ValueError(
+                raise SpecError(
                     f"the topology's {min_leaves} leaf shards each need at "
                     f"least one site, but source.sites={self.source.sites}"
                 )
@@ -781,12 +779,12 @@ class RunSpec:
         schema-drift guard the CI round-trip step relies on.
         """
         if not isinstance(data, Mapping):
-            raise ValueError(
+            raise SpecError(
                 f"a RunSpec document must be a JSON object, got {type(data).__name__}"
             )
         unknown = sorted(set(data) - set(_RUNSPEC_FIELDS))
         if unknown:
-            raise ValueError(
+            raise SpecError(
                 f"unknown RunSpec fields {unknown}; known fields are "
                 f"{sorted(_RUNSPEC_FIELDS)}"
             )
@@ -799,14 +797,14 @@ class RunSpec:
         ):
             section_data = data.get(name, {})
             if not isinstance(section_data, Mapping):
-                raise ValueError(
+                raise SpecError(
                     f"RunSpec section {name!r} must be a JSON object, got "
                     f"{type(section_data).__name__}"
                 )
             known = {f.name for f in dataclasses.fields(section_cls)}
             bad = sorted(set(section_data) - known)
             if bad:
-                raise ValueError(
+                raise SpecError(
                     f"unknown {name} fields {bad}; known fields are "
                     f"{sorted(known)}"
                 )
@@ -853,7 +851,11 @@ class RunSpec:
     @classmethod
     def from_json(cls, text: str) -> "RunSpec":
         """Rebuild a spec from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"spec is not valid JSON: {exc}") from exc
+        return cls.from_dict(data)
 
     def save(self, path: PathLike) -> None:
         """Write the spec to ``path`` as JSON."""
@@ -886,14 +888,14 @@ class RunSpec:
                 if part not in node and depth >= 2:
                     node[part] = {}
                 if not isinstance(node.get(part), dict):
-                    raise ValueError(
+                    raise SpecError(
                         f"unknown spec field path {path!r}; known fields at "
                         f"{'.'.join(parts[:depth]) or 'top level'} are "
                         f"{sorted(node)}"
                     )
                 node = node[part]
             if parts[-1] not in node and len(parts) < 3:
-                raise ValueError(
+                raise SpecError(
                     f"unknown spec field path {path!r}; known fields at "
                     f"{'.'.join(parts[:-1]) or 'top level'} are {sorted(node)}"
                 )
@@ -1104,19 +1106,7 @@ class BuiltRun:
                 batched=self.engine == "batched",
             )
         elif self.engine == "arrays":
-            # Hierarchical networks replay through the tree-direct engine:
-            # one precomputed leaf-routing pass instead of a per-segment
-            # descent, and untouched lazy leaves never materialise.  Flat
-            # networks take the plain columnar cutter; both are bit-for-bit
-            # identical to per-update delivery.
-            from repro.monitoring.sharding import ShardedNetwork
-
-            arrays_runner = (
-                run_tracking_tree_arrays
-                if isinstance(self.network, ShardedNetwork)
-                else run_tracking_arrays
-            )
-            result = arrays_runner(
+            result = run_tracking_arrays(
                 self.network,
                 self.columns.times,
                 self.columns.sites,

@@ -30,7 +30,7 @@ from repro.faults.channel import FaultPlan, FaultyChannel
 from repro.monitoring.network import MonitoringNetwork
 from repro.monitoring.runner import (
     TrackingResult,
-    _capture_levels,
+    _finish,
     _record,
     _run_batched,
 )
@@ -430,10 +430,7 @@ def run_tracking_async(
             _record(result, network, last_time, true_value)
     if drain:
         drain_all()
-    stats = network.stats
-    result.total_messages = stats.messages
-    result.total_bits = stats.bits
-    result.messages_by_kind = dict(stats.by_kind)
+    stats = _finish(result, network)
     result.staleness = summarize_staleness(channel)
     result.final_clock = channel.now
     result.final_estimate = network.estimate()
@@ -441,5 +438,4 @@ def run_tracking_async(
     result.dropped = stats.dropped
     result.retransmitted = stats.retransmitted
     result.duplicates = stats.duplicates
-    _capture_levels(result, network)
     return result

@@ -22,10 +22,8 @@ results; see :mod:`repro.monitoring.runner` and
 ``batched`` runs the span kernel's closed-form fast path, and ``arrays``
 replays a columnar trace file (``--trace``, CSV or npz; npz traces are
 memory-mapped with ``--mmap``) with no per-update objects at all — over a
-tree topology the replay routes tree-direct
-(:func:`repro.monitoring.runner.run_tracking_tree_arrays`): segments go
-straight to their leaf through one precomputed routing map, and leaves the
-trace never touches are never built.
+tree topology too, where leaves and sites the trace never touches are never
+built.
 ``throughput`` measures what the chosen fast engine buys over per-update
 dispatch, ``latency`` sweeps the asynchronous transport's delivery-latency
 scale against the achieved error and staleness (:mod:`repro.asynchrony`;
@@ -74,6 +72,7 @@ from repro.analysis import format_table, measure_engine_throughput
 from repro.analysis.bounds import deterministic_message_bound
 from repro.core import DeterministicCounter, variability
 from repro.core.frequencies import FrequencyTracker, HashReducer, run_frequency_tracking
+from repro.exceptions import ReproError
 from repro.lowerbounds import DeterministicFlipFamily, IndexReduction, TranscriptTracer
 from repro.streams import ItemStreamConfig, zipfian_item_stream
 from repro.streams.model import StreamSpec
@@ -114,8 +113,8 @@ def _add_engine_option(parser: argparse.ArgumentParser, extra: str = "") -> None
         choices=ENGINE_CHOICES,
         default="auto",
         help="delivery engine: per-update dispatch, the batched span kernel, "
-        "or columnar replay of a --trace file (tree-direct when the "
-        "topology is hierarchical; identical results across engines)"
+        "or columnar replay of a --trace file (on any topology; "
+        "identical results across engines)"
         + extra,
     )
 
@@ -1094,7 +1093,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command in _ENGINE_COMMANDS:
         args.engine = _resolve_engine(parser, args)
-    output = _COMMANDS[args.command](args)
+    try:
+        output = _COMMANDS[args.command](args)
+    except ReproError as exc:
+        # Bad input (an invalid spec field, a stream of length 0, a tree
+        # shape the sites cannot fill) is a usage error, not a crash.
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     print(output)
     return 0
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -66,6 +66,39 @@ def check_tracking_parameters(num_sites: int, epsilon: float) -> None:
         raise ConfigurationError(f"num_sites must be >= 1, got {num_sites}")
     if not 0.0 < epsilon < 1.0:
         raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")
+
+
+def _close_capabilities(kernel, network, coordinator, synchronous: bool):
+    """The kernel's ``(can_fast_close, can_fast_forward)`` flags for one run.
+
+    Simulated closes read and reset peer state directly, which is only sound
+    when delivery is inline and every peer is a block-tracking site; fast
+    forwarding further needs idempotent block starts on every actor.  The
+    two peer predicates are invariants of the network's membership (a
+    migration replaces the whole network object), so they are derived once
+    per network and cached on it.  The kernel asks only when a run reaches
+    a block close, and a close touches every site anyway, so the scan
+    builds no site that the close would not build.
+    """
+    if not synchronous:
+        return False, False
+    flags = getattr(network, "_span_capabilities", None)
+    if flags is None:
+        sites = network.sites
+        simulatable_peers = all(
+            isinstance(site, BlockTrackingSite) for site in sites
+        )
+        idempotent_starts = (
+            simulatable_peers
+            and coordinator.idempotent_block_start
+            and all(site.idempotent_block_start for site in sites)
+        )
+        flags = network._span_capabilities = (simulatable_peers, idempotent_starts)
+    simulatable_peers, idempotent_starts = flags
+    return (
+        simulatable_peers,
+        simulatable_peers and kernel.fast_forward and idempotent_starts,
+    )
 
 
 class BlockTrackingSite(Site, abc.ABC):
@@ -217,10 +250,11 @@ class BlockTrackingSite(Site, abc.ABC):
         """Consume a contiguous run of local updates through the span kernel.
 
         Thin adapter over :class:`repro.engine.SpanKernel`: this method only
-        validates the run, derives the capability flags the kernel needs
-        (synchronous versus span-scheduling channel, simulatable peers,
-        multi-block eligibility) and delegates.  The kernel alternates
-        *simulated spans* (the :meth:`on_stream_batch` hook reproduces the
+        validates the run, checks the channel (synchronous versus
+        span-scheduling) and delegates, handing the kernel a query for the
+        close capability flags (simulatable peers, multi-block eligibility)
+        that it runs only when the run reaches a block close.  The kernel
+        alternates *simulated spans* (the :meth:`on_stream_batch` hook reproduces the
         estimation-side traffic from cumulative sums while count reports are
         charged in bulk) with *block closes* computed in closed form — many
         consecutive same-level closes at once where
@@ -262,40 +296,13 @@ class BlockTrackingSite(Site, abc.ABC):
             # delta fires after exactly the same prefix as the slow path.
             kernel.replay(self, times, deltas)
             return
-        # Simulated closes read and reset peer state directly, which is only
-        # sound when delivery is inline (asynchronous channels route close
-        # steps through the real per-update path instead).  The two
-        # membership-wide predicates are invariants of the network's site
-        # set, which is fixed at construction (migration replaces the whole
-        # network object), so they are derived once per network rather than
-        # rescanned per batch — at high leaf-touch rates a tree delivers
-        # thousands of short batches to leaves of thousands of sites each,
-        # and the rescan dominated the replay profile.
-        capabilities = getattr(network, "_span_capabilities", None)
-        if capabilities is None:
-            simulatable_peers = all(
-                isinstance(site, BlockTrackingSite) for site in network.sites
-            )
-            idempotent_starts = (
-                simulatable_peers
-                and coordinator.idempotent_block_start
-                and all(site.idempotent_block_start for site in network.sites)
-            )
-            capabilities = (simulatable_peers, idempotent_starts)
-            network._span_capabilities = capabilities
-        simulatable_peers, idempotent_starts = capabilities
-        can_fast_close = synchronous and simulatable_peers
-        can_fast_forward = (
-            can_fast_close and kernel.fast_forward and idempotent_starts
-        )
         kernel.consume_run(
             self,
             network,
             coordinator,
             times,
             array,
-            can_fast_close,
-            can_fast_forward,
+            lambda: _close_capabilities(kernel, network, coordinator, synchronous),
         )
 
     # -- estimation hooks ----------------------------------------------------
@@ -608,12 +615,16 @@ class BlockTrackerFactory(abc.ABC):
         return type(self)(num_sites, self.epsilon)
 
     def build_network(self) -> MonitoringNetwork:
-        """Create a wired coordinator + ``k`` sites network."""
-        coordinator = self.build_coordinator()
-        sites: List[BlockTrackingSite] = [
-            self.build_site(site_id) for site_id in range(self.num_sites)
-        ]
-        return MonitoringNetwork(coordinator, sites)
+        """Create a wired coordinator + ``k`` sites network.
+
+        Sites are built on first touch (see :class:`MonitoringNetwork`), so
+        a leaf of a large tree pays for the sites its traffic reaches, not
+        for all ``k``.  Every site's construction depends on its id alone,
+        so build order cannot change any state or RNG draw.
+        """
+        return MonitoringNetwork(
+            self.build_coordinator(), self.num_sites, build_site=self.build_site
+        )
 
     def bootstrap_network(self, network, values, counts) -> None:
         """Initialise a fresh network with exact per-site state.

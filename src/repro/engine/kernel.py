@@ -1,12 +1,12 @@
 """The span-simulation kernel shared by every delivery engine.
 
 Four engines drive a tracking network today — per-update, batched, columnar
-and asynchronous, plus the sharded variants of each — and all of them lean on
-the same closed-form span algebra: a contiguous run of updates destined for
-one site is an alternation of *trigger-free spans* (no block close can occur,
-so the block level and every threshold derived from it are fixed) and *block
-closes* (request/reply/broadcast exchanges whose messages touch known, idle
-peers).  This module extracts that algebra into one :class:`SpanKernel` so
+and asynchronous, each over flat and tree topologies alike — and all of them
+lean on the same closed-form span algebra: a contiguous run of updates
+destined for one site is an alternation of *trigger-free spans* (no block
+close can occur, so the block level and every threshold derived from it are
+fixed) and *block closes* (request/reply/broadcast exchanges whose messages
+touch known, idle peers).  This module extracts that algebra into one :class:`SpanKernel` so
 the engines cannot drift apart:
 
 * **Run segmentation** (:func:`segment_cuts`) — where a chunk of updates is
@@ -46,7 +46,7 @@ stream generators and shard counts.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -278,8 +278,7 @@ class SpanKernel:
         coordinator,
         times: Sequence[int],
         deltas: np.ndarray,
-        can_fast_close: bool,
-        can_fast_forward: bool,
+        capabilities: Callable[[], Tuple[bool, bool]],
     ) -> None:
         """Consume a contiguous single-site run as spans and block closes.
 
@@ -289,12 +288,16 @@ class SpanKernel:
         Close steps are fast-forwarded in closed form — many consecutive
         same-level closes at once when ``can_fast_forward``, a single
         simulated close when ``can_fast_close`` — and otherwise replayed
-        through ``receive_update``.
+        through ``receive_update``, as is any trigger-free step the hook
+        declines.
 
-        ``can_fast_close`` and ``can_fast_forward`` are capability flags the
-        adapter (:meth:`repro.core.template.BlockTrackingSite.receive_batch`)
+        ``capabilities()`` returns ``(can_fast_close, can_fast_forward)``,
+        the flags the adapter
+        (:meth:`repro.core.template.BlockTrackingSite.receive_batch`)
         derives from the channel and peer types; both require a synchronous
         channel, since simulated closes read and reset peer state directly.
+        It is called only at close steps: deriving the peer flags scans every
+        site, which a close touches anyway but a trigger-free run must not.
         """
         length = len(deltas)
         channel = site._channel
@@ -334,23 +337,26 @@ class SpanKernel:
                 )
                 index += consumed
                 continue
-            if can_fast_forward and span == 0:
-                if prefix is None:
-                    prefix = np.cumsum(deltas)
-                advanced = self.fast_forward_closes(
-                    site, network, coordinator, deltas, prefix, index
-                )
-                if advanced:
-                    index += advanced
+            if span == 0:
+                can_fast_close, can_fast_forward = capabilities()
+                if can_fast_forward:
+                    if prefix is None:
+                        prefix = np.cumsum(deltas)
+                    advanced = self.fast_forward_closes(
+                        site, network, coordinator, deltas, prefix, index
+                    )
+                    if advanced:
+                        index += advanced
+                        continue
+                if can_fast_close:
+                    self.fast_close_step(
+                        site, network, coordinator, times[index], int(deltas[index])
+                    )
+                    index += 1
                     continue
-            if can_fast_close:
-                self.fast_close_step(
-                    site, network, coordinator, times[index], int(deltas[index])
-                )
-            else:
-                # Trigger step (or a hook fallback): the per-update path
-                # produces the count report and the block close it fires.
-                site.receive_update(times[index], int(deltas[index]))
+            # Trigger step (or a hook fallback): the per-update path
+            # produces the count report and the block close it fires.
+            site.receive_update(times[index], int(deltas[index]))
             index += 1
 
     # -- bulk count-report accounting ----------------------------------------

@@ -20,6 +20,15 @@ class ConfigurationError(ReproError):
     """
 
 
+class SpecError(ReproError, ValueError):
+    """Raised when a run specification is invalid; the message names the field.
+
+    Examples include an unknown tracker name, ``source.sites < 1``, or an
+    unknown key in a spec document.  It is also a :class:`ValueError`, so
+    callers that catch ``ValueError`` keep working.
+    """
+
+
 class ProtocolError(ReproError):
     """Raised when the distributed-monitoring protocol is used incorrectly.
 

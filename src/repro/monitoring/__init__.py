@@ -52,7 +52,6 @@ from repro.monitoring.runner import (
     TrackingResult,
     run_tracking,
     run_tracking_arrays,
-    run_tracking_tree_arrays,
 )
 from repro.monitoring.sharding import (
     ContiguousSharding,
@@ -93,7 +92,6 @@ __all__ = [
     "TrackingResult",
     "run_tracking",
     "run_tracking_arrays",
-    "run_tracking_tree_arrays",
     "ContiguousSharding",
     "RootAggregator",
     "ShardCoordinator",

@@ -9,7 +9,7 @@ way.  Broadcasts are charged once per site, matching the paper's accounting
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.monitoring.messages import BROADCAST_SITE, Message, MessageKind
@@ -219,6 +219,10 @@ class Channel:
         self._site_handlers: List[Optional[Callable[[Message], None]]] = [
             None
         ] * num_sites
+        #: Builds and attaches a site that has no handler yet (see
+        #: :meth:`build_sites_with`); ``None`` means every site registers up
+        #: front and a missing handler is a wiring error.
+        self._site_builder: Optional[Callable[[int], object]] = None
         self.stats = ChannelStats()
         self._log: List[Message] = []
         self._record_log = False
@@ -289,6 +293,20 @@ class Channel:
             raise ProtocolError(f"site id {site_id} out of range 0..{self._num_sites - 1}")
         self._site_handlers[site_id] = handler
 
+    def build_sites_with(self, builder: Callable[[int], object]) -> None:
+        """Reach sites that are built on first touch.
+
+        ``builder(site_id)`` must build the site and attach it to this
+        channel (registering its handler).  A network whose sites are built
+        lazily installs its own builder here, so a message addressed to an
+        untouched site builds that site instead of failing.
+        """
+        self._site_builder = builder
+
+    def totals(self) -> Tuple[int, int]:
+        """``(messages, bits)`` charged so far, without copying the counters."""
+        return self.stats.messages, self.stats.bits
+
     def send_to_coordinator(self, message: Message) -> None:
         """Deliver a site-to-coordinator message and charge its cost."""
         if self._coordinator_handler is None:
@@ -347,7 +365,7 @@ class Channel:
             self._account(message, copies=self._num_sites)
             for site_id, handler in enumerate(self._site_handlers):
                 if handler is None:
-                    raise ProtocolError(f"site {site_id} has no registered handler")
+                    handler = self._site_handler(site_id)
                 handler(message)
             return
         handler = self._site_handler(message.receiver)
@@ -379,6 +397,9 @@ class Channel:
                 f"receiver {site_id} out of range 0..{self._num_sites - 1}"
             )
         handler = self._site_handlers[site_id]
+        if handler is None and self._site_builder is not None:
+            self._site_builder(site_id)
+            handler = self._site_handlers[site_id]
         if handler is None:
             raise ProtocolError(f"site {site_id} has no registered handler")
         return handler

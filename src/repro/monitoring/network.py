@@ -20,7 +20,7 @@ primitive that topology adds to the substrate.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro.exceptions import ProtocolError
 from repro.monitoring.channel import Channel, ChannelStats
@@ -41,37 +41,86 @@ class MonitoringNetwork:
     :class:`repro.core.deterministic.DeterministicCounter` and friends) that
     returns a matched coordinator/site set; the network only handles wiring
     and update dispatch.
+
+    Sites come either as an explicit list, or as a count ``k`` plus a
+    ``build_site(site_id)`` callable.  In the second form site ``i`` is built
+    the first time an update or a message addresses it, so a network costs
+    what its traffic touches, not ``k`` site objects; :attr:`sites` still
+    returns all ``k``, building whatever is missing.
     """
 
     def __init__(
         self,
         coordinator: Coordinator,
-        sites: Sequence[Site],
+        sites: Union[Sequence[Site], int],
         channel: Optional[Channel] = None,
+        build_site: Optional[Callable[[int], Site]] = None,
     ) -> None:
-        if not sites:
-            raise ProtocolError("a monitoring network needs at least one site")
-        site_ids = sorted(site.site_id for site in sites)
-        if site_ids != list(range(len(sites))):
-            raise ProtocolError(
-                f"site ids must be exactly 0..{len(sites) - 1}, got {site_ids}"
-            )
-        if channel is not None and channel.num_sites != len(sites):
+        if build_site is None:
+            if not sites:
+                raise ProtocolError("a monitoring network needs at least one site")
+            site_ids = sorted(site.site_id for site in sites)
+            if site_ids != list(range(len(sites))):
+                raise ProtocolError(
+                    f"site ids must be exactly 0..{len(sites) - 1}, got {site_ids}"
+                )
+            slots: List[Optional[Site]] = sorted(sites, key=lambda s: s.site_id)
+        else:
+            if not isinstance(sites, int) or sites < 1:
+                raise ProtocolError(
+                    "a network with a site builder needs a site count >= 1, "
+                    f"got {sites!r}"
+                )
+            slots = [None] * sites
+        if channel is not None and channel.num_sites != len(slots):
             raise ProtocolError(
                 f"injected channel serves {channel.num_sites} sites, "
-                f"network has {len(sites)}"
+                f"network has {len(slots)}"
             )
         self.coordinator = coordinator
-        self.sites = sorted(sites, key=lambda s: s.site_id)
-        self.channel = channel if channel is not None else Channel(num_sites=len(sites))
+        self._sites = slots
+        self._build_site = build_site
+        self._unbuilt = 0 if build_site is None else len(slots)
+        self.channel = channel if channel is not None else Channel(num_sites=len(slots))
         coordinator.attach(self.channel)
-        for site in self.sites:
+        if build_site is None:
+            for site in slots:
+                site.attach(self.channel)
+        else:
+            self.channel.build_sites_with(self._site)
+
+    def _site(self, site_id: int) -> Site:
+        """Site ``site_id``, built and attached on first touch."""
+        site = self._sites[site_id]
+        if site is None:
+            site = self._build_site(site_id)
+            if site.site_id != site_id:
+                raise ProtocolError(
+                    f"site builder returned site {site.site_id} for id "
+                    f"{site_id}; site ids must be exactly 0..{len(self._sites) - 1}"
+                )
+            self._sites[site_id] = site
+            self._unbuilt -= 1
             site.attach(self.channel)
+        return site
+
+    @property
+    def sites(self) -> List[Site]:
+        """Every site, in id order, building any that no traffic touched yet."""
+        if self._unbuilt:
+            for site_id in range(len(self._sites)):
+                self._site(site_id)
+        return self._sites
 
     @property
     def num_sites(self) -> int:
         """Number of sites ``k`` in the network."""
-        return len(self.sites)
+        return len(self._sites)
+
+    @property
+    def num_built_sites(self) -> int:
+        """Number of sites built so far (``k`` for an explicit site list)."""
+        return len(self._sites) - self._unbuilt
 
     @property
     def stats(self) -> ChannelStats:
@@ -85,12 +134,15 @@ class MonitoringNetwork:
         observing its own data); any communication it triggers is charged by
         the channel.
         """
-        if not 0 <= site_id < self.num_sites:
+        if not 0 <= site_id < len(self._sites):
             raise ProtocolError(
                 f"update destined for site {site_id}, but network has "
                 f"{self.num_sites} sites"
             )
-        self.sites[site_id].receive_update(time, delta)
+        site = self._sites[site_id]
+        if site is None:
+            site = self._site(site_id)
+        site.receive_update(time, delta)
 
     def deliver_batch(
         self, site_id: int, times: Sequence[int], deltas: Sequence[int]
@@ -103,12 +155,15 @@ class MonitoringNetwork:
         the run triggers is charged by the channel exactly as in the
         per-update path.
         """
-        if not 0 <= site_id < self.num_sites:
+        if not 0 <= site_id < len(self._sites):
             raise ProtocolError(
                 f"batch destined for site {site_id}, but network has "
                 f"{self.num_sites} sites"
             )
-        self.sites[site_id].receive_batch(times, deltas, network=self)
+        site = self._sites[site_id]
+        if site is None:
+            site = self._site(site_id)
+        site.receive_batch(times, deltas, network=self)
 
     def multicast(self, message, site_ids) -> None:
         """Deliver one coordinator message to a subset of this network's sites.

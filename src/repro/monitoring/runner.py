@@ -42,7 +42,6 @@ __all__ = [
     "TrackingResult",
     "run_tracking",
     "run_tracking_arrays",
-    "run_tracking_tree_arrays",
 ]
 
 #: Maximum number of updates buffered at once by the batched engine.  Bounds
@@ -193,30 +192,44 @@ class TrackingResult:
         return data
 
 
-def _capture_levels(result: TrackingResult, network) -> None:
-    """Attach the hierarchy's per-level communication view, if it has one.
+def _finish(result: TrackingResult, network):
+    """Fill in the end-of-run totals; return the merged counters read.
 
-    Flat networks expose no ``level_summary`` and keep ``result.levels``
-    ``None``; sharded/tree networks report one row per level, root first.
+    Totals and the per-kind breakdown come from the network's merged
+    :class:`~repro.monitoring.channel.ChannelStats`.  Flat networks expose
+    no ``level_summary`` and keep ``result.levels`` ``None``; sharded/tree
+    networks report one row per level, root first.
     """
+    stats = network.stats
+    result.total_messages = stats.messages
+    result.total_bits = stats.bits
+    result.messages_by_kind = dict(stats.by_kind)
     level_summary = getattr(network, "level_summary", None)
     if callable(level_summary):
         result.levels = level_summary()
+    return stats
 
 
 def _record(
     result: TrackingResult, network: MonitoringNetwork, time: int, true_value: int
 ) -> None:
-    """Append one estimate record at the current network state."""
-    stats = network.stats
+    """Append one estimate record at the current network state.
+
+    A record needs only the message and bit totals, so it sums those two
+    counters over the network's channels (``channel.totals()``) instead of
+    merging every per-kind breakdown: on a tree that merge walks every node's
+    counters at every record.  The merged :attr:`stats` still gives the
+    end-of-run totals; both read the same per-channel counters.
+    """
+    messages, bits = network.channel.totals()
     estimate = network.estimate()
     result.records.append(
         EstimateRecord(
             time=time,
             true_value=true_value,
             estimate=estimate,
-            messages=stats.messages,
-            bits=stats.bits,
+            messages=messages,
+            bits=bits,
         )
     )
     result.history.record(time, estimate)
@@ -268,7 +281,6 @@ def _deliver_segments(
     result: TrackingResult,
     true_value: int,
     advance=None,
-    deliver=None,
 ) -> tuple:
     """Deliver one columnar slice as contiguous same-site segments.
 
@@ -288,11 +300,6 @@ def _deliver_segments(
         true_value: Exact stream value before the slice.
         advance: Optional virtual-clock hook, called with each segment's
             first timestep before the segment is delivered.
-        deliver: Optional segment deliverer ``deliver(start, end)`` replacing
-            the default routing through the network's ``deliver_update`` /
-            ``deliver_batch`` — the tree-direct columnar engine injects its
-            precomputed leaf routing here while keeping this one
-            segmentation-and-recording loop, so the engines cannot drift.
 
     Returns:
         ``(true_value, last_time, recorded_last)`` after the slice.
@@ -304,9 +311,7 @@ def _deliver_segments(
     for end in _segment_cuts(sites, start_index, record_every):
         if advance is not None:
             advance(int(times[start]))
-        if deliver is not None:
-            deliver(start, end)
-        elif end - start == 1:
+        if end - start == 1:
             network.deliver_update(
                 int(times[start]), int(sites[start]), int(deltas[start])
             )
@@ -416,27 +421,8 @@ def run_tracking(
         _run_batched(network, updates, record_every, result)
     else:
         _run_per_update(network, updates, record_every, result)
-    final_stats = network.stats
-    result.total_messages = final_stats.messages
-    result.total_bits = final_stats.bits
-    result.messages_by_kind = dict(final_stats.by_kind)
-    _capture_levels(result, network)
+    _finish(result, network)
     return result
-
-
-def _validate_columns(times, sites, deltas, record_every, engine_name):
-    """Shared argument validation for the columnar engines."""
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
-    times = np.asarray(times, dtype=np.int64)
-    sites = np.asarray(sites, dtype=np.int64)
-    deltas = np.asarray(deltas, dtype=np.int64)
-    if times.ndim != 1 or times.shape != sites.shape or times.shape != deltas.shape:
-        raise ProtocolError(
-            f"{engine_name} needs equal-length 1-D times/sites/deltas, got "
-            f"shapes {times.shape}/{sites.shape}/{deltas.shape}"
-        )
-    return times, sites, deltas
 
 
 def run_tracking_arrays(
@@ -459,7 +445,9 @@ def run_tracking_arrays(
     (``tests/test_columnar_runner.py``).
 
     Args:
-        network: The wired network to drive (flat or sharded).
+        network: The wired network to drive: flat, or a tree of any depth,
+            whose lazy leaves and sites are built only when a segment
+            reaches them.
         times: 1-D integer array of update timesteps, in order.
         sites: Matching array of destination site ids.
         deltas: Matching array of per-timestep changes.
@@ -474,9 +462,16 @@ def run_tracking_arrays(
             "run_tracking_arrays drives synchronous channels only; use "
             "repro.asynchrony.run_tracking_async for latency-aware transports"
         )
-    times, sites, deltas = _validate_columns(
-        times, sites, deltas, record_every, "columnar tracking"
-    )
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    times = np.asarray(times, dtype=np.int64)
+    sites = np.asarray(sites, dtype=np.int64)
+    deltas = np.asarray(deltas, dtype=np.int64)
+    if times.ndim != 1 or times.shape != sites.shape or times.shape != deltas.shape:
+        raise ProtocolError(
+            "columnar tracking needs equal-length 1-D times/sites/deltas, got "
+            f"shapes {times.shape}/{sites.shape}/{deltas.shape}"
+        )
     result = TrackingResult()
     # A zero-length trace mirrors run_tracking on an empty iterable: no
     # records, but the totals below are still populated from the (quiet)
@@ -487,182 +482,5 @@ def run_tracking_arrays(
         )
         if not recorded_last:
             _record(result, network, last_time, true_value)
-    final_stats = network.stats
-    result.total_messages = final_stats.messages
-    result.total_bits = final_stats.bits
-    result.messages_by_kind = dict(final_stats.by_kind)
-    _capture_levels(result, network)
-    return result
-
-
-def run_tracking_tree_arrays(
-    network,
-    times,
-    sites,
-    deltas,
-    record_every: int = 1,
-) -> TrackingResult:
-    """Tree-direct columnar engine: route each segment straight to its leaf.
-
-    :func:`run_tracking_arrays` over a hierarchical network pays a
-    ``_locate`` descent through every tree level per segment, and routing a
-    whole trace through the top of a lazily built million-site tree touches
-    machinery proportional to the tree, not to the data.  This engine
-    precomputes the composite global-to-leaf map once
-    (:func:`repro.monitoring.tree.leaf_routing`), then drives each contiguous
-    same-site segment directly into its owning leaf's flat network — the span
-    kernel runs per leaf — followed by the exact estimate-push sweep the
-    nested delivery would have performed (leaf wrapper first, then each
-    aggregated ancestor).  Leaves that the trace never touches are never
-    materialised.
-
-    The segmentation-and-recording loop is shared with the other columnar
-    engines (:func:`_deliver_segments` with an injected deliverer), so the
-    result is bit-for-bit identical — estimates, message counts, bit counts,
-    per-kind breakdowns — to :func:`run_tracking_arrays` and
-    :func:`run_tracking` over the equivalent update sequence
-    (``tests/test_columnar_runner.py``).
-
-    Args:
-        network: A :class:`~repro.monitoring.sharding.ShardedNetwork` (any
-            depth).  A flat network falls back to
-            :func:`run_tracking_arrays` — there is no leaf structure to
-            exploit.
-        times: 1-D integer array of update timesteps, in order.
-        sites: Matching array of destination site ids.
-        deltas: Matching array of per-timestep changes.
-        record_every: Recording stride, as in :func:`run_tracking`; the final
-            timestep is always recorded.
-
-    Returns:
-        A :class:`TrackingResult` with per-step records and total costs.
-    """
-    from repro.monitoring.sharding import ShardedNetwork
-    from repro.monitoring.tree import _wrapper_chain, leaf_routing
-
-    if not isinstance(network, ShardedNetwork):
-        return run_tracking_arrays(network, times, sites, deltas, record_every)
-    if not network.channel.is_synchronous:
-        raise ProtocolError(
-            "run_tracking_tree_arrays drives synchronous channels only; use "
-            "repro.asynchrony.run_tracking_async for latency-aware transports"
-        )
-    times, sites, deltas = _validate_columns(
-        times, sites, deltas, record_every, "tree-direct columnar tracking"
-    )
-    num_sites = network.num_sites
-    if sites.size:
-        out_of_range = (sites < 0) | (sites >= num_sites)
-        if out_of_range.any():
-            bad = int(sites[out_of_range][0])
-            raise ProtocolError(
-                f"update destined for site {bad}, but network has "
-                f"{num_sites} sites"
-            )
-    leaf_of, local_of = leaf_routing(network)
-    leaves = network.leaves()
-    # Per leaf: the *bound* push methods of the wrappers whose push the
-    # nested delivery would trigger, innermost first (an un-aggregated
-    # level — root_network None — pushes nothing, exactly as in
-    # ShardedNetwork.deliver_batch).
-    push_chains = [
-        tuple(
-            wrapper.push_estimate
-            for wrapper in _wrapper_chain(leaf)
-            if wrapper.parent_network.root_network is not None
-        )
-        for leaf in leaves
-    ]
-    at_top = network.wrapper is None
-    # One vectorised group-by pass replaces the per-segment routing lookups:
-    # segment boundaries come from the shared segmentation rule (the same
-    # cuts ``_deliver_segments`` will walk, so the two stay aligned by
-    # construction), and each segment's destination leaf, local site id and
-    # closing timestep are gathered up front — at high leaf-touch rates the
-    # per-segment ``int(...)`` conversions and routing-table probes used to
-    # rival the kernel work itself.
-    from repro.engine import segment_cuts
-
-    seg_ends = np.asarray(
-        segment_cuts(sites, 0, record_every) if sites.size else [],
-        dtype=np.int64,
-    )
-    seg_starts = np.concatenate(([0], seg_ends[:-1])) if seg_ends.size else seg_ends
-    seg_sites = sites[seg_starts] if seg_ends.size else seg_ends
-    seg_leaves = leaf_of[seg_sites].tolist()
-    seg_locals = local_of[seg_sites].tolist()
-    seg_last_times = (
-        times[seg_ends - 1].tolist() if seg_ends.size else []
-    )
-    if at_top and seg_ends.size:
-        # The per-site replay tallies are pure functions of the trace, so
-        # they are folded in one ``np.unique`` + scatter-add pass instead of
-        # two dict updates per segment; nothing reads them mid-replay.
-        prefix = np.cumsum(deltas)
-        seg_totals = prefix[seg_ends - 1] - prefix[seg_starts] + deltas[seg_starts]
-        unique_sites, inverse = np.unique(seg_sites, return_inverse=True)
-        value_sums = np.zeros(unique_sites.size, dtype=np.int64)
-        count_sums = np.zeros(unique_sites.size, dtype=np.int64)
-        np.add.at(value_sums, inverse, seg_totals)
-        np.add.at(count_sums, inverse, seg_ends - seg_starts)
-        site_values = network._site_values
-        site_counts = network._site_counts
-        for site_id, value, count in zip(
-            unique_sites.tolist(), value_sums.tolist(), count_sums.tolist()
-        ):
-            site_values[site_id] += value
-            site_counts[site_id] += count
-    # Materialised leaf networks and their site lists, resolved on first
-    # touch: ``leaf.network`` on a lazy leaf routes every attribute through
-    # ``__getattr__`` until materialisation, and even a real network's
-    # ``deliver_batch`` re-validates bounds per call — both are loop
-    # invariants after the first segment into a leaf.
-    leaf_networks = [None] * len(leaves)
-    leaf_sites = [None] * len(leaves)
-    cursor = [0]
-
-    def deliver(start: int, end: int) -> None:
-        index = cursor[0]
-        cursor[0] = index + 1
-        leaf_index = seg_leaves[index]
-        members = leaf_sites[leaf_index]
-        if members is None:
-            real = leaves[leaf_index].network
-            materialize = getattr(real, "materialize", None)
-            if materialize is not None:
-                real = materialize()
-            leaf_networks[leaf_index] = real
-            members = leaf_sites[leaf_index] = real.sites
-        site = members[seg_locals[index]]
-        if end - start == 1:
-            site.receive_update(times[start].item(), deltas[start].item())
-        else:
-            site.receive_batch(
-                times[start:end], deltas[start:end],
-                network=leaf_networks[leaf_index],
-            )
-        last_time = seg_last_times[index]
-        for push in push_chains[leaf_index]:
-            push(last_time)
-
-    result = TrackingResult()
-    if times.size:
-        true_value, last_time, recorded_last = _deliver_segments(
-            network,
-            times,
-            sites,
-            deltas,
-            0,
-            record_every,
-            result,
-            0,
-            deliver=deliver,
-        )
-        if not recorded_last:
-            _record(result, network, last_time, true_value)
-    final_stats = network.stats
-    result.total_messages = final_stats.messages
-    result.total_bits = final_stats.bits
-    result.messages_by_kind = dict(final_stats.by_kind)
-    _capture_levels(result, network)
+    _finish(result, network)
     return result

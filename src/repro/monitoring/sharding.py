@@ -466,6 +466,15 @@ class ShardedChannelView:
         """Merged counters over every shard channel and the root channel."""
         return ChannelStats.merge(channel.stats for channel in self.channels)
 
+    def totals(self) -> Tuple[int, int]:
+        """``(messages, bits)`` over every channel, per-kind counts unmerged."""
+        messages = bits = 0
+        for channel in self.channels:
+            stats = channel.stats
+            messages += stats.messages
+            bits += stats.bits
+        return messages, bits
+
     def enable_log(self) -> None:
         """Enable the per-transmission log on every underlying channel."""
         for channel in self.channels:

@@ -42,10 +42,8 @@ Migration
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.monitoring.channel import Channel, ChannelStats
@@ -74,7 +72,6 @@ __all__ = [
     "resolve_fanouts",
     "build_tree_network",
     "leaf_groups",
-    "leaf_routing",
     "MigrationReport",
     "migrate_site",
 ]
@@ -445,12 +442,14 @@ def build_tree_network(
             seed-compatible with the legacy sharded async builder.
         lazy: Build leaf networks on first touch instead of eagerly, so a
             tree over ``k`` sites constructs in O(touched leaves) — the
-            enabler for million-site trees.  Default (``None``) enables
-            laziness exactly when no ``channel_factory`` is given (injected
-            channels — in particular the async builder's latency channels —
-            must exist up front).  Untouched leaves answer estimate 0.0 and
-            empty counters, which is what a freshly built leaf answers too,
-            so laziness is observationally invisible.
+            enabler for million-site trees.  (A leaf built by a tracker
+            factory in turn builds only the sites its traffic touches.)
+            Default (``None``) enables laziness exactly when no
+            ``channel_factory`` is given (injected channels — in particular
+            the async builder's latency channels — must exist up front).
+            Untouched leaves answer estimate 0.0 and empty counters, which
+            is what a freshly built leaf answers too, so laziness is
+            observationally invisible.
 
     Returns:
         The top-level :class:`~repro.monitoring.sharding.ShardedNetwork`
@@ -580,43 +579,6 @@ def leaf_groups(network: ShardedNetwork) -> List[List[int]]:
         return groups
 
     return descend(network, list(range(network.num_sites)))
-
-
-def leaf_routing(network: ShardedNetwork) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised global-to-leaf map: ``(leaf_of, local_of)`` arrays.
-
-    ``leaf_of[site]`` indexes the owning leaf in :meth:`ShardedNetwork.leaves`
-    (left-to-right, the same order as :func:`leaf_groups`) and
-    ``local_of[site]`` is the site's leaf-local id.  The composite map is the
-    same one :func:`leaf_groups` reads off the routing tables, built with
-    array indexing instead of a per-site Python walk, so a million-site tree
-    routes in milliseconds — this is what lets the tree-direct columnar
-    engine skip the level-by-level ``_locate`` descent per segment.
-    """
-    num_sites = network.num_sites
-    leaf_of = np.empty(num_sites, dtype=np.int64)
-    local_of = np.empty(num_sites, dtype=np.int64)
-    next_leaf = 0
-
-    def descend(node: ShardedNetwork, ids: np.ndarray) -> None:
-        nonlocal next_leaf
-        for shard in node.shards:
-            site_ids = shard.site_ids
-            if isinstance(site_ids, range) and site_ids.step == 1:
-                owned = ids[site_ids.start : site_ids.stop]
-            else:
-                owned = ids[
-                    np.fromiter(site_ids, dtype=np.int64, count=len(site_ids))
-                ]
-            if isinstance(shard.network, ShardedNetwork):
-                descend(shard.network, owned)
-            else:
-                leaf_of[owned] = next_leaf
-                local_of[owned] = np.arange(len(owned), dtype=np.int64)
-                next_leaf += 1
-
-    descend(network, np.arange(num_sites, dtype=np.int64))
-    return leaf_of, local_of
 
 
 def _wrapper_chain(leaf: ShardCoordinator) -> List[ShardCoordinator]:

@@ -16,10 +16,9 @@ parsing, :func:`save_trace_npz` / :func:`load_trace_npz` store the same
 columns as an uncompressed binary archive that can be *memory-mapped* in
 place (``mmap_mode``), so replay cost starts at the first delivered slice
 rather than at a full parse; :func:`load_trace` dispatches between the two
-formats by file suffix.  A mapped trace feeds hierarchical topologies
-through :func:`repro.monitoring.runner.run_tracking_tree_arrays`, which
-routes every segment straight to its leaf — combined with lazy leaf
-construction, a million-site tree replays at a cost proportional to the
+formats by file suffix.  The same engine replays a mapped trace into a
+tree topology, whose leaves and sites are built only when a segment
+reaches them, so a million-site tree replays at a cost proportional to the
 trace, not the tree.
 """
 
@@ -262,10 +261,8 @@ def load_trace_npz(path: PathLike, mmap_mode: Optional[str] = None) -> TraceColu
             ``"r"`` (read-only) or ``"c"`` (copy-on-write) memory-maps them
             in place instead — the load touches no data pages, so traces far
             larger than RAM replay straight into
-            :func:`repro.monitoring.runner.run_tracking_arrays` (or the
-            tree-direct
-            :func:`~repro.monitoring.runner.run_tracking_tree_arrays`) with
-            the OS paging in only the slices the engine actually cuts.  Writable
+            :func:`repro.monitoring.runner.run_tracking_arrays` with the OS
+            paging in only the slices the engine actually cuts.  Writable
             mapping (``"r+"``) is refused: flushing bytes into a zip member
             would desynchronise the archive's CRC and corrupt the file.
 

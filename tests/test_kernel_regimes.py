@@ -6,7 +6,7 @@ the sparse regime and cross-level ladders used to fall back to per-update
 replay — precisely the cells the existing equivalence suites never forced.
 This suite engineers streams into those cells and asserts bit-for-bit
 equivalence across {deterministic, randomized} x {flat, levels=3 tree} x
-{sync, zero-latency async}, plus the tree-direct columnar engine against
+{sync, zero-latency async}, plus the columnar engine on a tree against
 ``run_tracking`` on the same trace.
 
 A non-hypothesis vacuity guard instruments the multiblock hook directly and
@@ -27,11 +27,7 @@ from repro.asynchrony import (
     run_tracking_async,
 )
 from repro.core import DeterministicCounter, RandomizedCounter
-from repro.monitoring.runner import (
-    run_tracking,
-    run_tracking_arrays,
-    run_tracking_tree_arrays,
-)
+from repro.monitoring.runner import run_tracking, run_tracking_arrays
 from repro.monitoring.tree import build_tree_network
 from repro.engine import SpanKernel
 from repro.streams import (
@@ -242,7 +238,7 @@ class TestSparseAndCrossLevelCells:
     def test_tree_arrays_matches_run_tracking(
         self, factory_name, stream_name, length, record_every, seed
     ):
-        """The tree-direct columnar engine against run_tracking on one trace."""
+        """The columnar engine on a 3-level tree against run_tracking."""
         num_sites = 6
         updates = _updates(stream_name, length, num_sites, 512, seed)
         columns = columns_from_updates(updates)
@@ -261,16 +257,8 @@ class TestSparseAndCrossLevelCells:
             columns.deltas,
             record_every=record_every,
         )
-        tree_net = network()
-        tree = run_tracking_tree_arrays(
-            tree_net,
-            columns.times,
-            columns.sites,
-            columns.deltas,
-            record_every=record_every,
-        )
-        assert _fingerprint(batched) == _fingerprint(arrays) == _fingerprint(tree)
-        assert batched.levels == arrays.levels == tree.levels
+        assert _fingerprint(batched) == _fingerprint(arrays)
+        assert batched.levels == arrays.levels
 
 
 def _set_kernel(network, kernel):

@@ -1,5 +1,8 @@
 """Tests for thresholded monitoring and the command-line interface."""
 
+import pathlib
+import re
+
 import pytest
 
 from repro.cli import STREAM_GENERATORS, build_parser, main
@@ -63,6 +66,17 @@ class TestThresholdMonitor:
         assert len(decisions) == len(result.records)
 
 
+def _assert_clean_error(capsys, argv, pattern):
+    """``main(argv)`` exits 2 with ``repro: error: ...`` on stderr, no traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ")
+    assert re.search(pattern, err)
+    assert "Traceback" not in err
+
+
 class TestCli:
     def test_parser_requires_subcommand(self):
         parser = build_parser()
@@ -73,6 +87,25 @@ class TestCli:
         parser = build_parser()
         args = parser.parse_args(["variability", "--stream", "monotone", "--lengths", "100"])
         assert args.stream in STREAM_GENERATORS
+
+    def test_bad_stream_length_fails_cleanly(self, capsys):
+        _assert_clean_error(
+            capsys, ["tracking", "--length", "0"], "stream length must be >= 1"
+        )
+
+    def test_bad_spec_override_fails_cleanly(self, capsys):
+        spec = pathlib.Path(__file__).resolve().parent.parent / "examples" / "specs"
+        _assert_clean_error(
+            capsys,
+            [
+                "run",
+                "--config",
+                str(spec / "live_service.json"),
+                "--set",
+                "topology.levels=0",
+            ],
+            r"topology\.",
+        )
 
     def test_variability_command_prints_table(self, capsys):
         exit_code = main(["variability", "--stream", "monotone", "--lengths", "100", "500"])
@@ -421,32 +454,33 @@ class TestCliRunSpec:
         with pytest.raises(SystemExit, match="FIELD=VALUE"):
             main(["run", "--config", path, "--set", "source.length"])
 
-    def test_run_rejects_unknown_spec_field(self, tmp_path):
+    def test_run_rejects_unknown_spec_field(self, tmp_path, capsys):
         import json as _json
 
         path = tmp_path / "drifted.json"
         path.write_text(_json.dumps({"tracker": {"epsilonn": 0.1}}))
-        with pytest.raises(ValueError, match="epsilonn"):
-            main(["run", "--config", str(path)])
+        _assert_clean_error(capsys, ["run", "--config", str(path)], "epsilonn")
 
-    def test_run_rejects_invalid_combination(self, tmp_path):
-        from repro.exceptions import ProtocolError
-
+    def test_run_rejects_invalid_combination(self, tmp_path, capsys):
         path, _ = self._write_spec(tmp_path)
         # A positive scale on the default sync/zero-latency transport is a
         # combination error either way: first against the zero-latency model,
         # and (with a model named) against the synchronous mode.
-        with pytest.raises(ProtocolError, match=r"transport\.latency='zero'"):
-            main(["run", "--config", path, "--set", "transport.scale=4.0"])
-        with pytest.raises(ProtocolError, match=r"transport\.mode"):
-            main(
-                [
-                    "run",
-                    "--config",
-                    path,
-                    "--set",
-                    "transport.scale=4.0",
-                    "--set",
-                    "transport.latency=uniform",
-                ]
-            )
+        _assert_clean_error(
+            capsys,
+            ["run", "--config", path, "--set", "transport.scale=4.0"],
+            r"transport\.latency='zero'",
+        )
+        _assert_clean_error(
+            capsys,
+            [
+                "run",
+                "--config",
+                path,
+                "--set",
+                "transport.scale=4.0",
+                "--set",
+                "transport.latency=uniform",
+            ],
+            r"transport\.mode",
+        )
