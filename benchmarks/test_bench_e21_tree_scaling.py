@@ -42,7 +42,7 @@ from repro.analysis import root_traffic_fraction
 from repro.api import RunSpec, SourceSpec, TopologySpec, TrackerSpec
 from repro.core import DeterministicCounter
 from repro.monitoring.runner import run_tracking_arrays
-from repro.monitoring.tree import _LazyLeafNetwork, build_tree_network
+from repro.monitoring.tree import build_tree_network
 
 LENGTH = size(120_000, 4_000)
 NUM_SITES = size(4_096, 512)
@@ -179,9 +179,7 @@ def _measure_million():
     )
     run_seconds = time.perf_counter() - run_start
     leaves = network.leaves()
-    materialized = sum(
-        1 for leaf in leaves if not isinstance(leaf.network, _LazyLeafNetwork)
-    )
+    materialized = sum(1 for leaf in leaves if leaf.network.num_built_sites)
     return {
         "result": result,
         "build_seconds": build_seconds,
@@ -210,11 +208,7 @@ def _measure_high_touch():
         network, times, sites, deltas, record_every=size(20_000, 2_000)
     )
     seconds = time.perf_counter() - start
-    built_sites = sum(
-        leaf.network.num_built_sites
-        for leaf in network.leaves()
-        if not isinstance(leaf.network, _LazyLeafNetwork)
-    )
+    built_sites = sum(leaf.network.num_built_sites for leaf in network.leaves())
     return {
         "result": result,
         "updates_per_second": HIGH_TOUCH_LENGTH / seconds,

@@ -19,7 +19,12 @@ import numpy as np
 
 from repro.core.variability import variability
 from repro.exceptions import ConfigurationError, ProtocolError
-from repro.monitoring.runner import TrackingResult
+from repro.monitoring.runner import (
+    TrackingResult,
+    run_tracking,
+    run_tracking_arrays,
+)
+from repro.monitoring.tree import build_tree_network
 from repro.streams.assignment import AssignmentPolicy, RoundRobinAssignment, assign_sites
 from repro.streams.model import StreamSpec
 
@@ -74,12 +79,9 @@ def run_tracker_on_stream(
     shard-to-root hops on top of the shard-local traffic.
     """
     updates = assign_sites(spec, num_sites, policy or RoundRobinAssignment())
-    if shards <= 1:
-        return factory.track(updates, record_every=record_every, batched=batched)
-    from repro.monitoring.runner import run_tracking
-    from repro.monitoring.sharding import build_sharded_network
-
-    network = build_sharded_network(factory, shards, sharding=sharding)
+    network = build_tree_network(
+        factory, fanouts=[shards] if shards > 1 else [], sharding=sharding
+    )
     return run_tracking(network, updates, record_every=record_every, batched=batched)
 
 
@@ -173,37 +175,25 @@ def measure_engine_throughput(
     test_bench_e17_throughput.py``) and ``python -m repro throughput`` so
     the two tables cannot drift apart.
     """
-    if shards > 1:
-        from repro.monitoring.runner import run_tracking
-        from repro.monitoring.sharding import build_sharded_network
+    fanouts = [shards] if shards > 1 else []
 
-        def run(batched: bool):
-            network = build_sharded_network(factory, shards)
-            begin = time.perf_counter()
-            result = run_tracking(
-                network, updates, record_every=record_every, batched=batched
-            )
-            return result, network.local_stats, time.perf_counter() - begin
+    def run(batched: bool):
+        network = build_tree_network(factory, fanouts=fanouts)
+        begin = time.perf_counter()
+        result = run_tracking(
+            network, updates, record_every=record_every, batched=batched
+        )
+        seconds = time.perf_counter() - begin
+        local = network.local_stats if fanouts else network.stats
+        return result, local, seconds
 
-        slow, slow_local, slow_seconds = run(False)
-        fast, fast_local, fast_seconds = run(True)
-        agree = (
-            slow_local.messages == fast_local.messages
-            and slow_local.bits == fast_local.bits
-            and [r.estimate for r in slow.records] == [r.estimate for r in fast.records]
-        )
-    else:
-        start = time.perf_counter()
-        slow = factory.track(updates, record_every=record_every, batched=False)
-        slow_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        fast = factory.track(updates, record_every=record_every, batched=True)
-        fast_seconds = time.perf_counter() - start
-        agree = (
-            slow.total_messages == fast.total_messages
-            and slow.total_bits == fast.total_bits
-            and [r.estimate for r in slow.records] == [r.estimate for r in fast.records]
-        )
+    slow, slow_local, slow_seconds = run(False)
+    fast, fast_local, fast_seconds = run(True)
+    agree = (
+        slow_local.messages == fast_local.messages
+        and slow_local.bits == fast_local.bits
+        and [r.estimate for r in slow.records] == [r.estimate for r in fast.records]
+    )
     if not agree:
         raise ProtocolError(
             "batched and per-update engines disagree on the same stream; "
@@ -233,14 +223,8 @@ def measure_columnar_throughput(
     Returns:
         ``(per_update_rate, arrays_rate, speedup)`` in updates/second.
     """
-    from repro.monitoring.runner import run_tracking, run_tracking_arrays
-
     def build_network():
-        if shards > 1:
-            from repro.monitoring.sharding import build_sharded_network
-
-            return build_sharded_network(factory, shards)
-        return factory.build_network()
+        return build_tree_network(factory, fanouts=[shards] if shards > 1 else [])
 
     updates = trace.to_updates()
     begin = time.perf_counter()

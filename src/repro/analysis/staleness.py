@@ -206,36 +206,29 @@ def run_latency_sweep(
     from repro.asynchrony import (
         ConstantLatency,
         UniformLatency,
-        build_async_network,
-        build_sharded_async_network,
+        async_channels,
         run_tracking_async,
     )
+    from repro.monitoring.tree import build_tree_network
 
     if not scales:
         raise ConfigurationError("latency sweep needs at least one scale")
     if model_for_scale is None:
         model_for_scale = lambda scale: UniformLatency(scale / 2.0, 1.5 * scale)
+    fanouts = [shards] if shards > 1 else []
     points = []
     for scale in scales:
         if scale < 0:
             raise ConfigurationError(f"latency scale must be >= 0, got {scale}")
         model = ConstantLatency(0.0) if scale == 0 else model_for_scale(scale)
-        if shards > 1:
-            network = build_sharded_async_network(
-                factory_builder(),
-                shards,
-                latency=model,
-                seed=seed,
-                preserve_order=preserve_order,
-                sharding=sharding,
-            )
-        else:
-            network = build_async_network(
-                factory_builder(),
-                latency=model,
-                seed=seed,
-                preserve_order=preserve_order,
-            )
+        network = build_tree_network(
+            factory_builder(),
+            fanouts=fanouts,
+            sharding=sharding,
+            channel_factory=async_channels(
+                fanouts, model, seed=seed, preserve_order=preserve_order
+            ),
+        )
         result = run_tracking_async(
             network, updates, record_every=record_every, batched=batched
         )

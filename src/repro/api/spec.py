@@ -12,13 +12,14 @@ implements behind one serializable dataclass:
   named assignment policy, or a recorded columnar trace file (CSV or
   memory-mappable npz);
 * **tracker** — any Section 3 tracker or baseline, by name;
-* **topology** — flat, or the two-level sharded hierarchy with a named
-  partition strategy;
+* **topology** — flat, the two-level sharded hierarchy or an L-level tree
+  with a named partition strategy, all wired by one builder
+  (:func:`~repro.monitoring.tree.build_tree_network`);
 * **transport** — synchronous instant delivery, or the discrete-event
   asynchronous channel with a named latency model;
 * **engine** — per-update dispatch, the span kernel's batched fast path,
   columnar array replay (one engine for every topology; a tree builds only
-  the leaves and sites its trace touches), or ``auto``.
+  the sites its trace touches), or ``auto``.
 
 The lifecycle is ``validate() -> build() -> run()``: validation centralizes
 every cross-axis combination check that used to live scattered across the
@@ -34,9 +35,12 @@ is what ``python -m repro run --config spec.json`` executes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import numbers
 import pathlib
+import typing
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -58,7 +62,12 @@ from repro.monitoring.sharding import (
     ContiguousSharding,
     ShardingPolicy,
     StridedSharding,
-    build_sharded_network,
+)
+from repro.monitoring.tree import (
+    EPSILON_SPLIT_NAMES,
+    build_tree_network,
+    resolve_epsilon_split,
+    resolve_fanouts,
 )
 from repro.streams import (
     BlockedAssignment,
@@ -187,6 +196,54 @@ def _check_name(value: str, allowed: Sequence[str], field_path: str) -> None:
             f"{field_path}={value!r} is not a known choice; pick one of "
             f"{sorted(allowed)}"
         )
+
+
+def _has_type(value: object, hint) -> bool:
+    """Whether ``value`` fits a spec field's annotation.
+
+    ``bool`` is not an ``int``; any integral fits ``int`` and any real fits
+    ``float``; ``List[int]`` takes a list (or tuple) of integrals; a ``Dict``
+    field takes a dict.
+    """
+    origin = typing.get_origin(hint)
+    if origin is Union:
+        return any(_has_type(value, arg) for arg in typing.get_args(hint))
+    if hint is bool or isinstance(value, bool):
+        return hint is bool and isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, numbers.Integral)
+    if hint is float:
+        return isinstance(value, numbers.Real)
+    if origin is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, (list, tuple)) and all(
+            _has_type(entry, item) for entry in value
+        )
+    return isinstance(value, origin or hint)
+
+
+@functools.lru_cache(maxsize=None)
+def _field_hints(spec_type) -> dict:
+    """A spec dataclass's resolved field annotations (resolving costs ~0.2 ms)."""
+    return typing.get_type_hints(spec_type)
+
+
+def _check_field_types(spec, prefix: str = "") -> None:
+    """Raise a field-naming :class:`SpecError` for any mistyped field.
+
+    Recurses into the axis sections, so one pass covers every field of a
+    :class:`RunSpec` before any range check compares a value.
+    """
+    hints = _field_hints(type(spec))
+    for spec_field in dataclasses.fields(spec):
+        value = getattr(spec, spec_field.name)
+        if not _has_type(value, hints[spec_field.name]):
+            raise SpecError(
+                f"{prefix}{spec_field.name}={value!r} has type "
+                f"{type(value).__name__}; the field takes {spec_field.type}"
+            )
+        if dataclasses.is_dataclass(value):
+            _check_field_types(value, f"{spec_field.name}.")
 
 
 # --------------------------------------------------------------------------
@@ -438,8 +495,6 @@ class TopologySpec:
         to ``[shards]`` (or ``[]`` for one shard), the tree axes go through
         :func:`repro.monitoring.tree.resolve_fanouts`.
         """
-        from repro.monitoring.tree import resolve_fanouts
-
         if self.is_tree():
             return resolve_fanouts(
                 levels=self.levels, fanout=self.fanout, fanouts=self.fanouts
@@ -460,12 +515,6 @@ class TopologySpec:
                 "shards=S is exactly levels=2, fanout=S; describe the "
                 "topology one way"
             )
-        # Imported lazily: the flat path must not require the tree module.
-        from repro.monitoring.tree import (
-            EPSILON_SPLIT_NAMES,
-            resolve_epsilon_split,
-        )
-
         _check_name(
             self.epsilon_split, EPSILON_SPLIT_NAMES, "topology.epsilon_split"
         )
@@ -695,6 +744,7 @@ class RunSpec:
         unknown names) all fail here, before any network is built, with a
         message naming the offending fields.
         """
+        _check_field_types(self)
         self.source.validate()
         self.tracker.validate()
         self.topology.validate()
@@ -819,8 +869,8 @@ class RunSpec:
                 section_data["stream"] = None
             sections[name] = section_cls(**section_data)
         return cls(
-            engine=str(data.get("engine", "auto")),
-            record_every=int(data.get("record_every", 1)),
+            engine=data.get("engine", "auto"),
+            record_every=data.get("record_every", 1),
             **sections,
         )
 
@@ -970,83 +1020,32 @@ class RunSpec:
         """Wire tracker x topology x transport; return (network, factory)."""
         factory = self.tracker.build_factory(num_sites)
         fanouts = self.topology.resolve_fanouts()
-        hierarchical = bool(fanouts)
-        partition = (
-            self.topology.build_partition() if hierarchical else None
-        )
-        # The tree builder is needed whenever the topology is a tree in any
-        # vocabulary (including legacy shards, which delegates), or when a
-        # tree-only knob (split policy, broadcast deadband) is engaged.
-        use_tree = self.topology.is_tree() or (
-            hierarchical
-            and (
-                self.topology.epsilon_split != "leaf"
-                or self.topology.broadcast_deadband > 0.0
-            )
-        )
+        channel_factory = None
         if self.transport.mode == "async":
             # Imported lazily: the synchronous path must not require the
             # asynchrony package at import time.
-            from repro.asynchrony import (
-                build_async_network,
-                build_sharded_async_network,
-                build_tree_async_network,
-            )
+            from repro.asynchrony import async_channels
 
-            model = self.transport.build_latency_model()
-            faults = self.transport.build_faults()
-            if use_tree:
-                network = build_tree_async_network(
-                    factory,
-                    fanouts=fanouts,
-                    latency=model,
-                    seed=self.transport.seed,
-                    preserve_order=self.transport.preserve_order,
-                    sharding=partition,
-                    epsilon_split=self.topology.epsilon_split,
-                    split_ratio=self.topology.split_ratio,
-                    broadcast_deadband=self.topology.broadcast_deadband,
-                    faults=faults,
-                )
-            elif hierarchical:
-                network = build_sharded_async_network(
-                    factory,
-                    self.topology.shards,
-                    latency=model,
-                    seed=self.transport.seed,
-                    preserve_order=self.transport.preserve_order,
-                    sharding=partition,
-                    faults=faults,
-                )
-            else:
-                network = build_async_network(
-                    factory,
-                    latency=model,
-                    seed=self.transport.seed,
-                    preserve_order=self.transport.preserve_order,
-                    faults=faults,
-                )
-            if self.transport.repair:
-                from repro.faults import enable_close_repair
-
-                enable_close_repair(network)
-        elif use_tree:
-            from repro.monitoring.tree import build_tree_network
-
-            network = build_tree_network(
-                factory,
-                fanouts=fanouts,
-                sharding=partition,
-                epsilon_split=self.topology.epsilon_split,
-                split_ratio=self.topology.split_ratio,
-                broadcast_deadband=self.topology.broadcast_deadband,
+            channel_factory = async_channels(
+                fanouts,
+                self.transport.build_latency_model(),
+                seed=self.transport.seed,
+                preserve_order=self.transport.preserve_order,
+                faults=self.transport.build_faults(),
             )
-        elif hierarchical:
-            network = build_sharded_network(
-                factory, self.topology.shards, sharding=partition
-            )
-        else:
-            network = factory.build_network()
+        network = build_tree_network(
+            factory,
+            fanouts=fanouts,
+            sharding=self.topology.build_partition(),
+            epsilon_split=self.topology.epsilon_split,
+            split_ratio=self.topology.split_ratio,
+            broadcast_deadband=self.topology.broadcast_deadband,
+            channel_factory=channel_factory,
+        )
+        if self.transport.repair:
+            from repro.faults import enable_close_repair
+
+            enable_close_repair(network)
         return network, factory
 
     def run(self) -> TrackingResult:

@@ -10,7 +10,11 @@ and an event-driven runner that interleaves stream updates with deliveries
 on a virtual clock (:mod:`repro.asynchrony.runner`).
 
 Existing algorithms — the Section 3 trackers and every baseline — run
-unmodified over this transport via :func:`build_async_network`; the
+unmodified over this transport: :func:`async_channels` is the channel
+factory that :func:`repro.monitoring.tree.build_tree_network` takes for any
+shape (flat, sharded, L-level tree; latency-aware, optionally lossy), and
+the legacy :func:`build_async_network`, :func:`build_sharded_async_network`
+and :func:`build_tree_async_network` are one such call each.  The
 coordinator close protocols complete when the last (possibly delayed) reply
 lands, which over a synchronous channel degenerates to exactly the paper's
 reentrant behaviour.  The zero-latency configuration is bit-for-bit
@@ -32,6 +36,7 @@ from repro.asynchrony.latency import (
 )
 from repro.asynchrony.runner import (
     AsyncTrackingResult,
+    async_channels,
     build_async_network,
     build_sharded_async_network,
     build_tree_async_network,
@@ -50,6 +55,7 @@ __all__ = [
     "LatencyModel",
     "UniformLatency",
     "AsyncTrackingResult",
+    "async_channels",
     "build_async_network",
     "build_sharded_async_network",
     "build_tree_async_network",

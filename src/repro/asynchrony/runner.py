@@ -20,7 +20,7 @@ engine (``tests/test_async_equivalence.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.analysis.staleness import StalenessSummary, summarize_staleness
 from repro.asynchrony.channel import AsyncChannel
@@ -45,6 +45,7 @@ from repro.types import Update
 __all__ = [
     "AsyncTrackingResult",
     "run_tracking_async",
+    "async_channels",
     "build_async_network",
     "build_sharded_async_network",
     "build_tree_async_network",
@@ -115,32 +116,56 @@ class AsyncTrackingResult(TrackingResult):
         return data
 
 
-def _make_async_channel(
-    num_ports: int,
+def async_channels(
+    fanouts: Sequence[int],
     latency: LatencyModel,
-    seed: Optional[int],
-    preserve_order: bool,
-    faults: Optional[FaultPlan],
-    fault_seed: Optional[int],
-) -> AsyncChannel:
-    """One node's channel: plain, or fault-injecting when a plan is given.
+    seed: Optional[int] = 0,
+    preserve_order: bool = True,
+    faults: Optional[FaultPlan] = None,
+    root_latency: Optional[LatencyModel] = None,
+) -> Callable[[int, int, int], AsyncChannel]:
+    """The latency-aware transport for a network of shape ``fanouts``.
 
-    The plan is re-seeded per node with ``fault_seed`` (derived by the
-    topology builders exactly like the latency seeds), and each channel
-    builds its own loss-model instance, so per-link burst state never leaks
-    between nodes.
+    Returns the ``(level, position, num_ports) -> channel`` factory that
+    :func:`repro.monitoring.tree.build_tree_network` takes as its
+    ``channel_factory``: every node (the flat star, each leaf shard, each
+    aggregator) gets its own :class:`AsyncChannel`, or a fault-injecting
+    :class:`~repro.faults.channel.FaultyChannel` when ``faults`` is given.
+    Leaf channels use ``latency``; aggregator channels use ``root_latency``
+    (default: ``latency``).  Each channel builds its own loss-model instance,
+    so per-link burst state never leaks between nodes.
+
+    Seeds are assigned breadth-first: the node at ``position`` of ``level``
+    draws latency from ``seed + offset(level) + position``, where
+    ``offset(level)`` counts every node above that level.  The flat star
+    (``fanouts=[]``) draws from ``seed``; for ``fanouts=[S]`` the root draws
+    from ``seed`` and shard ``s`` from ``seed + 1 + s``.  Loss seeds follow
+    the same scheme from ``faults.seed``.  With zero latency on every level
+    the run is bit-for-bit the synchronous network of the same shape.
     """
-    if faults is None:
-        return AsyncChannel(
-            num_ports, latency=latency, seed=seed, preserve_order=preserve_order
+    chosen_root_latency = latency if root_latency is None else root_latency
+    # offsets[level]: how many nodes lie above ``level`` (1 root, then the
+    # running products of the fan-outs).
+    offsets = [0]
+    width = 1
+    for fan in fanouts:
+        offsets.append(offsets[-1] + width)
+        width *= fan
+    leaf_level = len(offsets) - 1
+
+    def channel_factory(level: int, position: int, num_ports: int) -> AsyncChannel:
+        node = offsets[level] + position
+        options = dict(
+            latency=latency if level == leaf_level else chosen_root_latency,
+            seed=None if seed is None else seed + node,
+            preserve_order=preserve_order,
         )
-    return FaultyChannel(
-        num_ports,
-        latency=latency,
-        seed=seed,
-        preserve_order=preserve_order,
-        plan=faults.with_seed(fault_seed),
-    )
+        if faults is None:
+            return AsyncChannel(num_ports, **options)
+        fault_seed = None if faults.seed is None else faults.seed + node
+        return FaultyChannel(num_ports, plan=faults.with_seed(fault_seed), **options)
+
+    return channel_factory
 
 
 def build_async_network(
@@ -150,36 +175,12 @@ def build_async_network(
     preserve_order: bool = True,
     faults: Optional[FaultPlan] = None,
 ) -> MonitoringNetwork:
-    """Wire a tracker factory's coordinator and sites over an async channel.
-
-    Works with any factory exposing ``build_network()`` (the Section 3
-    trackers and every baseline), so existing algorithms run unmodified over
-    the asynchronous transport: the factory builds its usual actors, and this
-    helper re-wires them onto a fresh :class:`AsyncChannel`.
-
-    Args:
-        factory: Tracker factory (e.g. ``DeterministicCounter(k, eps)``).
-        latency: Delivery-latency model for the channel.
-        seed: Seed for the channel's latency RNG.
-        preserve_order: Per-link FIFO (default) versus reordering allowed.
-        faults: Optional :class:`~repro.faults.channel.FaultPlan`; when given
-            the channel is a fault-injecting
-            :class:`~repro.faults.channel.FaultyChannel` (a zero-loss plan is
-            inert, i.e. bit-for-bit this builder's plain channel).
-
-    Returns:
-        A :class:`MonitoringNetwork` whose channel is the async transport.
-    """
-    base = factory.build_network()
-    channel = _make_async_channel(
-        base.num_sites,
-        latency,
-        seed,
-        preserve_order,
-        faults,
-        None if faults is None else faults.seed,
+    """The flat star over one channel from :func:`async_channels`."""
+    return build_tree_network(
+        factory,
+        fanouts=[],
+        channel_factory=async_channels([], latency, seed, preserve_order, faults),
     )
-    return MonitoringNetwork(base.coordinator, base.sites, channel=channel)
 
 
 def build_sharded_async_network(
@@ -192,63 +193,15 @@ def build_sharded_async_network(
     sharding: Optional[ShardingPolicy] = None,
     faults: Optional[FaultPlan] = None,
 ) -> ShardedNetwork:
-    """Wire a sharded hierarchy whose both levels are latency-aware.
-
-    Every shard's site-to-coordinator channel and the shard-to-root channel
-    become :class:`AsyncChannel` instances, so a shard estimate crosses *two*
-    latency legs before the root sees it: site to shard coordinator, then
-    shard to root.  Each channel draws from its own deterministic RNG (shard
-    ``s`` from ``seed + 1 + s``, the root from ``seed``), so runs reproduce
-    exactly.  With zero latency at both levels the run is bit-for-bit the
-    synchronous sharded engine.
-
-    Args:
-        factory: Flat tracker factory exposing ``num_sites``/``shard_factory``.
-        num_shards: Number of shards (1 = flat topology, no root leg).
-        latency: Latency model for the shard-local (site-to-coordinator) legs.
-        root_latency: Latency model for the shard-to-root leg; defaults to
-            the shard-local model.
-        seed: Base seed for the channels' latency RNGs.
-        preserve_order: Per-link FIFO (default) versus reordering allowed.
-
-    Returns:
-        A :class:`~repro.monitoring.sharding.ShardedNetwork` over async
-        channels, ready for :func:`run_tracking_async`.
-    """
-    chosen_root_latency = latency if root_latency is None else root_latency
-
-    fault_base = None if faults is None else faults.seed
-
-    def local_channel(shard_id: int, group_size: int) -> AsyncChannel:
-        # A single shard has no root leg, and its channel must draw exactly
-        # the same latency sequence as build_async_network's — that is what
-        # keeps shards=1 bit-for-bit the flat async engine under jitter.
-        # Loss seeds mirror the latency-seed scheme.
-        if num_shards == 1:
-            local_seed, fault_seed = seed, fault_base
-        else:
-            local_seed = None if seed is None else seed + 1 + shard_id
-            fault_seed = None if fault_base is None else fault_base + 1 + shard_id
-        return _make_async_channel(
-            group_size, latency, local_seed, preserve_order, faults, fault_seed
-        )
-
-    def root_channel(shard_count: int) -> AsyncChannel:
-        return _make_async_channel(
-            shard_count,
-            chosen_root_latency,
-            seed,
-            preserve_order,
-            faults,
-            fault_base,
-        )
-
+    """The legacy sharded hierarchy over :func:`async_channels`."""
+    fanouts = [num_shards] if num_shards > 1 else []
     return build_sharded_network(
         factory,
         num_shards,
         sharding=sharding,
-        local_channel_factory=local_channel,
-        root_channel_factory=root_channel,
+        channel_factory=async_channels(
+            fanouts, latency, seed, preserve_order, faults, root_latency
+        ),
     )
 
 
@@ -267,62 +220,8 @@ def build_tree_async_network(
     broadcast_deadband: float = 0.0,
     faults: Optional[FaultPlan] = None,
 ):
-    """Wire an L-level monitoring tree whose every level is latency-aware.
-
-    The asynchronous counterpart of
-    :func:`repro.monitoring.tree.build_tree_network`: each node — every leaf
-    shard and every aggregator — gets its own :class:`AsyncChannel`, so an
-    estimate originating at a site crosses ``levels`` latency legs before the
-    root sees it.  Channel RNG seeds are derived breadth-first from the
-    node's ``(level, position)``: the root draws from ``seed``, the node at
-    position ``p`` of level ``l`` from ``seed + offset(l) + p`` where
-    ``offset`` counts all nodes above.  For a two-level tree that is exactly
-    the legacy :func:`build_sharded_async_network` assignment (root =
-    ``seed``, shard ``s`` = ``seed + 1 + s``), so the tree generalisation is
-    seed-compatible with the existing async hierarchy, and with zero latency
-    everywhere the run is bit-for-bit the synchronous tree.
-
-    Args:
-        factory: Flat tracker factory exposing ``num_sites``/``shard_factory``.
-        levels: Total coordinator levels (1 = flat; give ``fanout`` too).
-        fanout: Uniform per-level fan-out (with ``levels``).
-        fanouts: Explicit per-level fan-outs, top-down (overrides ``fanout``).
-        latency: Latency model for the leaf (site-to-shard) legs.
-        root_latency: Latency model for every aggregation leg; defaults to
-            the leaf model.
-        seed: Base seed for the channels' latency RNGs.
-        preserve_order: Per-link FIFO (default) versus reordering allowed.
-        sharding: Partition policy applied at every split.
-        epsilon_split: Per-level error-budget policy (name or instance).
-        split_ratio: Ratio for the named ``"geometric"`` policy.
-        broadcast_deadband: Relative deadband on downward level re-broadcasts.
-
-    Returns:
-        A tree :class:`~repro.monitoring.sharding.ShardedNetwork` over async
-        channels (or a flat async network for one level), ready for
-        :func:`run_tracking_async`.
-    """
+    """An L-level tree over :func:`async_channels`: one latency leg per level."""
     resolved = resolve_fanouts(levels=levels, fanout=fanout, fanouts=fanouts)
-    chosen_root_latency = latency if root_latency is None else root_latency
-    # Breadth-first node counts per level: 1 root, then products of fan-outs.
-    sizes = [1]
-    for fan in resolved:
-        sizes.append(sizes[-1] * fan)
-    offsets = [sum(sizes[:level]) for level in range(len(sizes))]
-    leaf_level = len(resolved)
-
-    fault_base = None if faults is None else faults.seed
-
-    def channel_factory(level: int, position: int, num_ports: int) -> AsyncChannel:
-        node_seed = None if seed is None else seed + offsets[level] + position
-        fault_seed = (
-            None if fault_base is None else fault_base + offsets[level] + position
-        )
-        node_latency = latency if level == leaf_level else chosen_root_latency
-        return _make_async_channel(
-            num_ports, node_latency, node_seed, preserve_order, faults, fault_seed
-        )
-
     return build_tree_network(
         factory,
         fanouts=resolved,
@@ -330,7 +229,9 @@ def build_tree_async_network(
         epsilon_split=epsilon_split,
         split_ratio=split_ratio,
         broadcast_deadband=broadcast_deadband,
-        channel_factory=channel_factory,
+        channel_factory=async_channels(
+            resolved, latency, seed, preserve_order, faults, root_latency
+        ),
     )
 
 
@@ -344,13 +245,11 @@ def run_tracking_async(
     """Run a distributed stream over the asynchronous transport.
 
     Args:
-        network: A network wired over an :class:`AsyncChannel` (see
-            :func:`build_async_network`), or a
-            :class:`~repro.monitoring.sharding.ShardedNetwork` whose shard
-            and root channels are all asynchronous (see
-            :func:`build_sharded_async_network`) — there the shard-to-root
-            hop is scheduled as a second latency leg after the site-to-shard
-            one.
+        network: A network wired over async channels: flat, or a
+            :class:`~repro.monitoring.sharding.ShardedNetwork` whose every
+            channel is asynchronous (see :func:`async_channels`) — there
+            each shard-to-parent hop is scheduled as one more latency leg
+            after the site-to-shard one.
         updates: The distributed stream, one update per timestep, in time
             order; any iterable works and is consumed exactly once.
         record_every: Record an estimate-vs-truth point every this many
@@ -387,7 +286,7 @@ def run_tracking_async(
             raise ProtocolError(
                 "run_tracking_async needs every shard channel and the root "
                 "channel to be asynchronous; build the network with "
-                "repro.asynchrony.build_sharded_async_network (use "
+                "channel_factory=repro.asynchrony.async_channels(...) (use "
                 "run_tracking for synchronous channels)"
             )
         advance = network.advance_to
@@ -398,8 +297,8 @@ def run_tracking_async(
     else:
         raise ProtocolError(
             "run_tracking_async needs a network wired over an AsyncChannel; "
-            "build one with repro.asynchrony.build_async_network (use "
-            "run_tracking for synchronous channels)"
+            "build one with channel_factory=repro.asynchrony.async_channels"
+            "(...) (use run_tracking for synchronous channels)"
         )
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")

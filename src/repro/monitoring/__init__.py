@@ -29,11 +29,13 @@ unmodified coordinator locally (:class:`ShardCoordinator`), and a
 :class:`RootAggregator` merges the shard estimates over another counted
 channel — communication stays separately accounted per shard, and the
 single-shard configuration is bit-for-bit the flat engine.
-:mod:`repro.monitoring.tree` composes these levels into L-level monitoring
-trees (:func:`build_tree_network`) with the error budget split across levels
+:func:`build_tree_network` is the one network builder: ``fanouts=[]`` is
+the flat star, ``fanouts=[S]`` the two-level hierarchy and deeper lists
+L-level trees, with the error budget split across levels
 (:func:`resolve_epsilon_split`) and live site migration between leaf shards
-(:func:`migrate_site`); the legacy two-level ``build_sharded_network`` is the
-``fanouts=[num_shards]`` special case and delegates to the tree builder.
+(:func:`migrate_site`).  Its ``channel_factory`` argument is the one
+transport seam (:func:`repro.asynchrony.async_channels` for latency and
+loss); the legacy ``build_sharded_network`` is one call to it.
 """
 
 from repro.monitoring.channel import Channel, ChannelStats

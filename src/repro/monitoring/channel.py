@@ -9,7 +9,7 @@ way.  Broadcasts are charged once per site, matching the paper's accounting
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.monitoring.messages import BROADCAST_SITE, Message, MessageKind
@@ -216,9 +216,9 @@ class Channel:
             raise ProtocolError(f"channel needs at least one site, got {num_sites}")
         self._num_sites = num_sites
         self._coordinator_handler: Optional[Callable[[Message], None]] = None
-        self._site_handlers: List[Optional[Callable[[Message], None]]] = [
-            None
-        ] * num_sites
+        #: Registered site handlers by site id; a site built on first touch
+        #: has no entry until it is built.
+        self._site_handlers: Dict[int, Callable[[Message], None]] = {}
         #: Builds and attaches a site that has no handler yet (see
         #: :meth:`build_sites_with`); ``None`` means every site registers up
         #: front and a missing handler is a wiring error.
@@ -363,10 +363,8 @@ class Channel:
         """
         if message.receiver == BROADCAST_SITE:
             self._account(message, copies=self._num_sites)
-            for site_id, handler in enumerate(self._site_handlers):
-                if handler is None:
-                    handler = self._site_handler(site_id)
-                handler(message)
+            for site_id in range(self._num_sites):
+                self._site_handler(site_id)(message)
             return
         handler = self._site_handler(message.receiver)
         self._account(message)
@@ -396,10 +394,10 @@ class Channel:
             raise ProtocolError(
                 f"receiver {site_id} out of range 0..{self._num_sites - 1}"
             )
-        handler = self._site_handlers[site_id]
+        handler = self._site_handlers.get(site_id)
         if handler is None and self._site_builder is not None:
             self._site_builder(site_id)
-            handler = self._site_handlers[site_id]
+            handler = self._site_handlers.get(site_id)
         if handler is None:
             raise ProtocolError(f"site {site_id} has no registered handler")
         return handler

@@ -20,7 +20,7 @@ primitive that topology adds to the substrate.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.exceptions import ProtocolError
 from repro.monitoring.channel import Channel, ChannelStats
@@ -45,7 +45,8 @@ class MonitoringNetwork:
     Sites come either as an explicit list, or as a count ``k`` plus a
     ``build_site(site_id)`` callable.  In the second form site ``i`` is built
     the first time an update or a message addresses it, so a network costs
-    what its traffic touches, not ``k`` site objects; :attr:`sites` still
+    what its traffic touches, not ``k`` site objects: built sites are kept
+    by id, and nothing is allocated per unbuilt site.  :attr:`sites` still
     returns all ``k``, building whatever is missing.
     """
 
@@ -56,6 +57,7 @@ class MonitoringNetwork:
         channel: Optional[Channel] = None,
         build_site: Optional[Callable[[int], Site]] = None,
     ) -> None:
+        site_list: Optional[List[Site]] = None
         if build_site is None:
             if not sites:
                 raise ProtocolError("a monitoring network needs at least one site")
@@ -64,63 +66,67 @@ class MonitoringNetwork:
                 raise ProtocolError(
                     f"site ids must be exactly 0..{len(sites) - 1}, got {site_ids}"
                 )
-            slots: List[Optional[Site]] = sorted(sites, key=lambda s: s.site_id)
+            site_list = sorted(sites, key=lambda s: s.site_id)
+            num_sites = len(site_list)
         else:
             if not isinstance(sites, int) or sites < 1:
                 raise ProtocolError(
                     "a network with a site builder needs a site count >= 1, "
                     f"got {sites!r}"
                 )
-            slots = [None] * sites
-        if channel is not None and channel.num_sites != len(slots):
+            num_sites = sites
+        if channel is not None and channel.num_sites != num_sites:
             raise ProtocolError(
                 f"injected channel serves {channel.num_sites} sites, "
-                f"network has {len(slots)}"
+                f"network has {num_sites}"
             )
         self.coordinator = coordinator
-        self._sites = slots
+        self._num_sites = num_sites
+        self._built: Dict[int, Site] = (
+            {} if site_list is None else dict(enumerate(site_list))
+        )
+        # The id-ordered list :attr:`sites` returns, cached once every site
+        # exists (the span kernel iterates it at every simulated close).
+        self._site_list = site_list
         self._build_site = build_site
-        self._unbuilt = 0 if build_site is None else len(slots)
-        self.channel = channel if channel is not None else Channel(num_sites=len(slots))
+        self.channel = channel if channel is not None else Channel(num_sites=num_sites)
         coordinator.attach(self.channel)
-        if build_site is None:
-            for site in slots:
+        if site_list is not None:
+            for site in site_list:
                 site.attach(self.channel)
         else:
             self.channel.build_sites_with(self._site)
 
     def _site(self, site_id: int) -> Site:
         """Site ``site_id``, built and attached on first touch."""
-        site = self._sites[site_id]
+        site = self._built.get(site_id)
         if site is None:
             site = self._build_site(site_id)
             if site.site_id != site_id:
                 raise ProtocolError(
                     f"site builder returned site {site.site_id} for id "
-                    f"{site_id}; site ids must be exactly 0..{len(self._sites) - 1}"
+                    f"{site_id}; site ids must be exactly 0..{self._num_sites - 1}"
                 )
-            self._sites[site_id] = site
-            self._unbuilt -= 1
+            self._built[site_id] = site
             site.attach(self.channel)
         return site
 
     @property
     def sites(self) -> List[Site]:
         """Every site, in id order, building any that no traffic touched yet."""
-        if self._unbuilt:
-            for site_id in range(len(self._sites)):
-                self._site(site_id)
-        return self._sites
+        if self._site_list is None:
+            self._site_list = [self._site(i) for i in range(self._num_sites)]
+        return self._site_list
 
     @property
     def num_sites(self) -> int:
         """Number of sites ``k`` in the network."""
-        return len(self._sites)
+        return self._num_sites
 
     @property
     def num_built_sites(self) -> int:
         """Number of sites built so far (``k`` for an explicit site list)."""
-        return len(self._sites) - self._unbuilt
+        return len(self._built)
 
     @property
     def stats(self) -> ChannelStats:
@@ -134,12 +140,12 @@ class MonitoringNetwork:
         observing its own data); any communication it triggers is charged by
         the channel.
         """
-        if not 0 <= site_id < len(self._sites):
+        if not 0 <= site_id < self._num_sites:
             raise ProtocolError(
                 f"update destined for site {site_id}, but network has "
                 f"{self.num_sites} sites"
             )
-        site = self._sites[site_id]
+        site = self._built.get(site_id)
         if site is None:
             site = self._site(site_id)
         site.receive_update(time, delta)
@@ -155,12 +161,12 @@ class MonitoringNetwork:
         the run triggers is charged by the channel exactly as in the
         per-update path.
         """
-        if not 0 <= site_id < len(self._sites):
+        if not 0 <= site_id < self._num_sites:
             raise ProtocolError(
                 f"batch destined for site {site_id}, but network has "
                 f"{self.num_sites} sites"
             )
-        site = self._sites[site_id]
+        site = self._built.get(site_id)
         if site is None:
             site = self._site(site_id)
         site.receive_batch(times, deltas, network=self)

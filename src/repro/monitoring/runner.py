@@ -446,8 +446,7 @@ def run_tracking_arrays(
 
     Args:
         network: The wired network to drive: flat, or a tree of any depth,
-            whose lazy leaves and sites are built only when a segment
-            reaches them.
+            whose sites are built only when a segment reaches them.
         times: 1-D integer array of update timesteps, in order.
         sites: Matching array of destination site ids.
         deltas: Matching array of per-timestep changes.

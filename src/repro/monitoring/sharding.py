@@ -25,9 +25,12 @@ composable* hierarchy:
 Both levels run over ordinary counted channels, so **communication stays
 separately accounted per shard**: each shard channel counts the up/down
 traffic between its sites and its coordinator, and the root channel counts
-the shard-to-root hops.  Injecting latency-aware channels at either level
-(:func:`repro.asynchrony.build_sharded_async_network`) turns the shard-to-root
-hop into a second latency leg.
+the shard-to-root hops.  This module holds the node types only; networks
+are wired by :func:`repro.monitoring.tree.build_tree_network`, whose channel
+factory is the one transport seam — latency-aware channels from
+:func:`repro.asynchrony.async_channels` turn the shard-to-root hop into a
+second latency leg.  :func:`build_sharded_network` is the legacy
+``fanouts=[num_shards]`` spelling of that call.
 
 Estimate contract (the hierarchical-merge property, pinned by
 ``tests/test_sharding_property.py``): every shard behaves *bit-for-bit* like a
@@ -837,7 +840,7 @@ class ShardedNetwork:
         after the moment it came to exist), never back-dated to the previous
         advance point — the root cannot receive knowledge before the shard
         had it.  Requires latency-aware channels at both levels
-        (:func:`repro.asynchrony.build_sharded_async_network`).
+        (:func:`repro.asynchrony.async_channels`).
         """
         if self.root_network is not None:
             self.root_network.channel.advance_to(until)
@@ -879,95 +882,34 @@ def build_sharded_network(
     factory,
     num_shards: int,
     sharding: Optional[ShardingPolicy] = None,
-    local_channel_factory=None,
-    root_channel_factory=None,
-    broadcast_deadband: float = 0.0,
+    channel_factory=None,
 ) -> ShardedNetwork:
-    """Build a two-level sharded hierarchy from a flat tracker factory.
+    """Build the two-level sharded hierarchy: ``fanouts=[num_shards]``.
 
-    The factory's ``k`` sites are partitioned into ``num_shards`` disjoint
-    groups by ``sharding`` (contiguous, balanced-to-within-one by default).
-    Each group gets an independent copy of the tracker, built by
-    ``factory.shard_factory(group_size, shard_id)`` — the hook every tracker
-    factory exposes (see
-    :meth:`repro.core.template.BlockTrackerFactory.shard_factory`) — wired as
-    a flat network over its own counted channel.  With more than one shard, a
-    :class:`RootAggregator` is wired over a second counted channel whose
-    "sites" are the shard uplinks.
-
-    This is the two-level convenience entry of the general builder: the
-    multi-shard case delegates to
-    :func:`repro.monitoring.tree.build_tree_network` with a single fan-out
-    level, so ``shards = S`` and ``levels = 2, fanout = S`` are the same
-    construction by definition, not by parallel maintenance.
-
-    Args:
-        factory: Flat tracker factory exposing ``num_sites`` and
-            ``shard_factory`` (all Section 3 trackers and baselines do).
-        num_shards: Number of shards; ``1`` yields the flat topology with no
-            root hop.
-        sharding: Site-to-shard partition policy; default
-            :class:`ContiguousSharding`.
-        local_channel_factory: Optional ``(shard_id, group_size) -> Channel``
-            used to inject shard-local channels (the async builder injects
-            latency-aware ones).
-        root_channel_factory: Optional ``(num_shards) -> Channel`` for the
-            shard-to-root channel.
-        broadcast_deadband: Relative deadband on the root's downward level
-            re-broadcasts (see :class:`RootAggregator`); 0.0 keeps the exact
-            legacy behaviour.
-
-    Returns:
-        A wired :class:`ShardedNetwork`.
+    The legacy entry point, kept as the reference wiring the equivalence
+    suites compare against.  Above one shard it is exactly
+    :func:`repro.monitoring.tree.build_tree_network` with
+    ``fanouts=[num_shards]``; one shard wraps the flat network in a single
+    :class:`ShardCoordinator` with no root hop, bit-for-bit the flat
+    topology.  ``channel_factory`` is the tree builder's transport argument
+    (for one shard, only its flat level-0 channel is asked for).
     """
-    num_sites = getattr(factory, "num_sites", None)
-    if num_sites is None:
-        raise ConfigurationError(
-            "build_sharded_network needs a tracker factory exposing num_sites"
-        )
-    shard_factory = getattr(factory, "shard_factory", None)
-    if shard_factory is None:
-        raise ConfigurationError(
-            f"{type(factory).__name__} does not expose shard_factory(num_sites, "
-            "shard_id); add one to run it sharded"
-        )
-    policy = sharding if sharding is not None else ContiguousSharding()
-    if num_shards == 1:
-        groups = policy.partition(num_sites, 1)
-        if len(groups) != 1 or not groups[0]:
-            raise ConfigurationError(
-                f"sharding policy returned {len(groups)} groups (some possibly "
-                "empty) for 1 shard"
-            )
-        group = groups[0]
-        sub_factory = shard_factory(len(group), 0)
-        base = sub_factory.build_network()
-        if local_channel_factory is not None:
-            base = MonitoringNetwork(
-                base.coordinator,
-                base.sites,
-                channel=local_channel_factory(0, len(group)),
-            )
-        return ShardedNetwork([ShardCoordinator(0, base, group)], None)
     # Imported lazily: the tree module builds on this one.
     from repro.monitoring.tree import build_tree_network
 
-    channel_factory = None
-    if local_channel_factory is not None or root_channel_factory is not None:
-
-        def channel_factory(level: int, index: int, ports: int):
-            if level == 0:
-                if root_channel_factory is None:
-                    return None
-                return root_channel_factory(ports)
-            if local_channel_factory is None:
-                return None
-            return local_channel_factory(index, ports)
-
-    return build_tree_network(
-        factory,
-        fanouts=[num_shards],
-        sharding=policy,
-        channel_factory=channel_factory,
-        broadcast_deadband=broadcast_deadband,
-    )
+    if num_shards != 1:
+        return build_tree_network(
+            factory,
+            fanouts=[num_shards],
+            sharding=sharding,
+            channel_factory=channel_factory,
+        )
+    base = build_tree_network(factory, fanouts=[], channel_factory=channel_factory)
+    policy = sharding if sharding is not None else ContiguousSharding()
+    groups = policy.partition(base.num_sites, 1)
+    if len(groups) != 1 or not groups[0]:
+        raise ConfigurationError(
+            f"sharding policy returned {len(groups)} groups (some possibly "
+            "empty) for 1 shard"
+        )
+    return ShardedNetwork([ShardCoordinator(0, base, groups[0])], None)

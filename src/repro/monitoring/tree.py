@@ -7,12 +7,14 @@ across the levels, and supports *live migration* of a site between leaf
 shards with an exact state handoff.
 
 Topology
-    :func:`build_tree_network` takes per-level fan-outs (top-down) and
-    builds aggregators over aggregators until the leaves, each leaf an
-    unmodified flat tracker over its site group.  A two-level tree with
-    fan-out ``S`` constructs exactly the legacy ``num_shards = S``
-    hierarchy — :func:`repro.monitoring.sharding.build_sharded_network`
-    delegates here, so the equivalence is by construction.
+    :func:`build_tree_network` is the one network builder.  It takes
+    per-level fan-outs (top-down) and builds aggregators over aggregators
+    until the leaves, each leaf an unmodified flat tracker over its site
+    group; no fan-outs is the flat star, and a two-level tree with fan-out
+    ``S`` constructs exactly the legacy ``num_shards = S`` hierarchy, so
+    :func:`repro.monitoring.sharding.build_sharded_network` is one call
+    here.  The transport is the ``channel_factory`` argument alone
+    (:func:`repro.asynchrony.async_channels` for latency and loss).
 
 Error budget
     An :class:`EpsilonSplitPolicy` divides ``eps`` into one budget per
@@ -43,10 +45,10 @@ Migration
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, ProtocolError
-from repro.monitoring.channel import Channel, ChannelStats
+from repro.monitoring.channel import Channel
 from repro.monitoring.messages import (
     BROADCAST_SITE,
     COORDINATOR,
@@ -243,15 +245,22 @@ def resolve_fanouts(
     return resolved
 
 
+def _on_channel(
+    network: MonitoringNetwork, channel: Optional[Channel]
+) -> MonitoringNetwork:
+    """``network``'s actors re-wired onto ``channel`` (``None`` keeps its own)."""
+    if channel is None:
+        return network
+    return MonitoringNetwork(network.coordinator, network.sites, channel=channel)
+
+
 @dataclass
 class _TreeRecipe:
     """Everything needed to rebuild one leaf of a tree during migration."""
 
     factory: object
     fanouts: List[int]
-    sharding: ShardingPolicy
     budgets: List[float]
-    broadcast_deadband: float
     channel_factory: Optional[Callable[[int, int, int], Optional[Channel]]]
 
     @property
@@ -262,135 +271,19 @@ class _TreeRecipe:
     def leaf_epsilon(self) -> float:
         return self.budgets[-1]
 
-    def build_leaf(self, size: int, leaf_index: int) -> MonitoringNetwork:
-        """Build one leaf's flat network exactly as the tree builder does."""
+    def build_leaf(
+        self, size: int, leaf_index: int
+    ) -> Tuple[MonitoringNetwork, object]:
+        """Build one leaf's flat network (and its factory) as the tree builder does."""
         sub_factory = self.factory.shard_factory(size, leaf_index)
         if sub_factory.epsilon != self.leaf_epsilon:
             sub_factory.epsilon = self.leaf_epsilon
-        base = sub_factory.build_network()
         channel = (
             self.channel_factory(self.leaf_level, leaf_index, size)
             if self.channel_factory is not None
             else None
         )
-        if channel is not None:
-            base = MonitoringNetwork(base.coordinator, base.sites, channel=channel)
-        return base, sub_factory
-
-
-class _LazyLeafChannel:
-    """Stand-in channel of a not-yet-materialised leaf.
-
-    Answers the runner-facing read surface (``is_synchronous``, ``stats``,
-    ``log_enabled``) with an untouched leaf's true values — synchronous,
-    zero counters, no transcript — without building the leaf.  Anything
-    that would make the leaf observable for real (enabling the log,
-    attaching an observer) materialises it and forwards; once the leaf
-    exists, every accessor delegates to its real channel, so references
-    captured before materialisation stay truthful afterwards.
-    """
-
-    def __init__(self, owner: "_LazyLeafNetwork") -> None:
-        self._owner = owner
-        self._stats = ChannelStats()
-
-    @property
-    def _real(self) -> Optional[Channel]:
-        network = self._owner._network
-        return None if network is None else network.channel
-
-    @property
-    def is_synchronous(self) -> bool:
-        real = self._real
-        # Lazy leaves exist only in default-channel (synchronous) trees, so
-        # True is the materialised answer too.
-        return True if real is None else real.is_synchronous
-
-    @property
-    def stats(self) -> ChannelStats:
-        real = self._real
-        return self._stats if real is None else real.stats
-
-    @property
-    def log_enabled(self) -> bool:
-        real = self._real
-        return False if real is None else real.log_enabled
-
-    def enable_log(self) -> None:
-        self._owner.materialize().channel.enable_log()
-
-    @property
-    def observer(self):
-        real = self._real
-        return None if real is None else real.observer
-
-    @observer.setter
-    def observer(self, value) -> None:
-        self._owner.materialize().channel.observer = value
-
-    # -- adopt_accounting sources (migration of an untouched leaf) -----------
-
-    @property
-    def _log(self) -> List[Message]:
-        real = self._real
-        return [] if real is None else real._log
-
-    @property
-    def _record_log(self) -> bool:
-        real = self._real
-        return False if real is None else real._record_log
-
-
-class _LazyLeafNetwork:
-    """Placeholder for a leaf network that is built on first touch.
-
-    A million-site tree spends its build time constructing per-leaf site
-    and coordinator objects that a sparse trace never touches.  This proxy
-    satisfies the read-only surface the hierarchy needs from an idle leaf —
-    ``num_sites`` (routing/validation), ``estimate() == 0.0`` (what a fresh
-    tracker answers, so the parent's pushes stay suppressed), ``channel`` /
-    ``stats`` (empty counters) — in O(1), and materialises the real network
-    via :meth:`_TreeRecipe.build_leaf` on the first delivery or any other
-    attribute access, swapping itself out of its :class:`ShardCoordinator`
-    wrapper so subsequent traffic runs on the real object directly.
-    """
-
-    def __init__(self, recipe: _TreeRecipe, size: int, leaf_index: int) -> None:
-        self._recipe = recipe
-        self._size = size
-        self._leaf_index = leaf_index
-        self._network: Optional[MonitoringNetwork] = None
-        self._wrapper: Optional[ShardCoordinator] = None
-        self._channel = _LazyLeafChannel(self)
-
-    @property
-    def num_sites(self) -> int:
-        return self._size
-
-    @property
-    def channel(self) -> _LazyLeafChannel:
-        return self._channel
-
-    @property
-    def stats(self) -> ChannelStats:
-        return self._channel.stats
-
-    def estimate(self) -> float:
-        return 0.0 if self._network is None else self._network.estimate()
-
-    def materialize(self) -> MonitoringNetwork:
-        """Build the real leaf (idempotent) and rewire the wrapper to it."""
-        if self._network is None:
-            base, _ = self._recipe.build_leaf(self._size, self._leaf_index)
-            self._network = base
-            if self._wrapper is not None:
-                self._wrapper.replace_network(base)
-        return self._network
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self.materialize(), name)
+        return _on_channel(sub_factory.build_network(), channel), sub_factory
 
 
 def build_tree_network(
@@ -403,23 +296,28 @@ def build_tree_network(
     split_ratio: float = 0.5,
     broadcast_deadband: float = 0.0,
     channel_factory: Optional[Callable[[int, int, int], Optional[Channel]]] = None,
-    lazy: Optional[bool] = None,
 ):
-    """Build a recursive L-level monitoring tree from a flat tracker factory.
+    """Build a monitoring network of any shape from a flat tracker factory.
 
-    The factory's ``k`` sites are partitioned top-down: the root level
-    splits them into ``fanouts[0]`` groups, each group is split again by the
-    next fan-out, and so on; the final groups become leaf shards running an
-    unmodified copy of the tracker built by
+    The one network builder: ``fanouts=[]`` (or ``levels=1``) is the flat
+    star ``factory.build_network()``, ``fanouts=[S]`` the legacy two-level
+    sharded hierarchy, and deeper lists L-level trees.  The factory's ``k``
+    sites are partitioned top-down: the root level splits them into
+    ``fanouts[0]`` groups, each group is split again by the next fan-out,
+    and so on; the final groups become leaf shards running an unmodified
+    copy of the tracker built by
     ``factory.shard_factory(group_size, leaf_index)`` with the leaf level's
     share of the error budget.  Every aggregation node is a
     :class:`~repro.monitoring.sharding.RootAggregator` over its children's
     uplinks — a subtree is a :class:`~repro.monitoring.sharding.Site` of its
-    parent at any depth.
+    parent at any depth.  Every node is built here, but no site: a leaf
+    from a factory that builds sites on first touch builds only the sites
+    its traffic reaches, so under contiguous partitions a tree over ``k``
+    sites costs O(nodes), not O(k), to build.
 
     Args:
         factory: Flat tracker factory exposing ``num_sites``, ``epsilon``
-            and ``shard_factory``.
+            and, for more than one level, ``shard_factory``.
         levels: Total number of coordinator levels (1 = flat, 2 = the legacy
             sharded hierarchy).  Give ``fanout`` with it, or use ``fanouts``.
         fanout: Uniform fan-out per aggregation level (with ``levels``).
@@ -432,51 +330,36 @@ def build_tree_network(
         split_ratio: Ratio for the named ``"geometric"`` policy.
         broadcast_deadband: Relative deadband on every aggregator's downward
             level re-broadcasts (0.0 = re-broadcast on every change).
-        channel_factory: Optional ``(level, index, num_ports) -> Channel``
-            injecting channels per node; ``level`` is the node's depth
-            (0 = root aggregator, ``levels - 1`` = leaves) and ``index`` the
-            node's left-to-right position within its level.  Returning
-            ``None`` falls back to the default synchronous channel.  The
-            async builder derives per-node latency RNG seeds from
-            ``(level, index)`` breadth-first, which keeps the two-level tree
-            seed-compatible with the legacy sharded async builder.
-        lazy: Build leaf networks on first touch instead of eagerly, so a
-            tree over ``k`` sites constructs in O(touched leaves) — the
-            enabler for million-site trees.  (A leaf built by a tracker
-            factory in turn builds only the sites its traffic touches.)
-            Default (``None``) enables laziness exactly when no
-            ``channel_factory`` is given (injected channels — in particular
-            the async builder's latency channels — must exist up front).
-            Untouched leaves answer estimate 0.0 and empty counters, which
-            is what a freshly built leaf answers too, so laziness is
-            observationally invisible.
+        channel_factory: The transport: ``(level, position, num_ports) ->
+            Channel`` injecting each node's channel; ``level`` is the node's
+            depth (0 = root, ``len(fanouts)`` = leaves; the flat star is
+            level 0) and ``position`` its left-to-right index within its
+            level.  ``None`` (or a ``None`` return) keeps the default
+            synchronous channel; :func:`repro.asynchrony.async_channels`
+            builds the latency-aware and lossy ones.
 
     Returns:
-        The top-level :class:`~repro.monitoring.sharding.ShardedNetwork`
-        (or a flat ``MonitoringNetwork`` when the shape resolves to one
-        level), with the build recipe attached for live migration.
+        The top-level :class:`~repro.monitoring.sharding.ShardedNetwork`,
+        with the build recipe attached for live migration, or the flat
+        ``MonitoringNetwork`` when the shape resolves to one level.
     """
     num_sites = getattr(factory, "num_sites", None)
     if num_sites is None:
         raise ConfigurationError(
             "build_tree_network needs a tracker factory exposing num_sites"
         )
+    resolved = resolve_fanouts(levels=levels, fanout=fanout, fanouts=fanouts)
+    if not resolved:
+        channel = (
+            channel_factory(0, 0, num_sites) if channel_factory is not None else None
+        )
+        return _on_channel(factory.build_network(), channel)
     if getattr(factory, "shard_factory", None) is None:
         raise ConfigurationError(
             f"{type(factory).__name__} does not expose shard_factory(num_sites, "
             "shard_id); add one to run it in a tree"
         )
-    resolved = resolve_fanouts(levels=levels, fanout=fanout, fanouts=fanouts)
     policy = sharding if sharding is not None else ContiguousSharding()
-    if not resolved:
-        base = factory.build_network()
-        if channel_factory is not None:
-            channel = channel_factory(0, 0, num_sites)
-            if channel is not None:
-                base = MonitoringNetwork(
-                    base.coordinator, base.sites, channel=channel
-                )
-        return base
     min_sites = 1
     for value in resolved:
         min_sites *= value
@@ -485,39 +368,23 @@ def build_tree_network(
             f"fanouts {resolved} describe {min_sites} leaves, but the factory "
             f"serves only {num_sites} sites (every leaf needs >= 1 site)"
         )
-    num_levels = len(resolved) + 1
-    if lazy and channel_factory is not None:
-        raise ConfigurationError(
-            "lazy leaf instantiation requires the default channel; a "
-            "channel_factory's per-leaf channels must exist up front"
-        )
-    use_lazy = channel_factory is None if lazy is None else bool(lazy)
     split = resolve_epsilon_split(epsilon_split, split_ratio)
-    budgets = _split_budgets(split, float(factory.epsilon), num_levels)
+    budgets = _split_budgets(split, float(factory.epsilon), len(resolved) + 1)
     recipe = _TreeRecipe(
         factory=factory,
         fanouts=resolved,
-        sharding=policy,
         budgets=budgets,
-        broadcast_deadband=float(broadcast_deadband),
         channel_factory=channel_factory,
     )
 
-    leaves_below = [1] * (len(resolved) + 1)
-    for level in range(len(resolved) - 1, -1, -1):
-        leaves_below[level] = resolved[level] * leaves_below[level + 1]
-
-    def build_node(level: int, position: int, site_ids: List[int]):
+    def build_node(level: int, position: int, site_ids: Sequence[int]):
         """Build the subtree rooted at (level, position) over ``site_ids``.
 
         ``site_ids`` are ids in the *parent's* space; the node's own space
         is positions ``0..len(site_ids)-1``.
         """
         if level == len(resolved):
-            if use_lazy:
-                return _LazyLeafNetwork(recipe, len(site_ids), position)
-            base, _ = recipe.build_leaf(len(site_ids), position)
-            return base
+            return recipe.build_leaf(len(site_ids), position)[0]
         fan = resolved[level]
         groups = policy.partition(len(site_ids), fan)
         if len(groups) != fan or any(not group for group in groups):
@@ -527,18 +394,14 @@ def build_tree_network(
             )
         wrappers: List[ShardCoordinator] = []
         for child_index, group in enumerate(groups):
-            child = build_node(
-                level + 1, position * fan + child_index, list(group)
-            )
+            child = build_node(level + 1, position * fan + child_index, group)
             wrapper = ShardCoordinator(child_index, child, group)
-            if isinstance(child, _LazyLeafNetwork):
-                child._wrapper = wrapper
             wrapper.push_deadband = budgets[level]
             wrappers.append(wrapper)
         aggregator = RootAggregator(
             num_shards=fan,
             num_sites=len(site_ids),
-            broadcast_deadband=recipe.broadcast_deadband,
+            broadcast_deadband=float(broadcast_deadband),
         )
         channel = (
             channel_factory(level, position, fan)
@@ -550,7 +413,7 @@ def build_tree_network(
         )
         return ShardedNetwork(wrappers, aggregator_network)
 
-    network = build_node(0, 0, list(range(num_sites)))
+    network = build_node(0, 0, range(num_sites))
     network._tree_recipe = recipe
     return network
 

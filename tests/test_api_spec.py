@@ -12,7 +12,9 @@ Covers the three satellite contracts of the spec layer:
 
 import json
 import pathlib
+import re
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -24,7 +26,7 @@ from repro.api import (
     TransportSpec,
 )
 from repro.asynchrony import AsyncTrackingResult
-from repro.exceptions import ProtocolError
+from repro.exceptions import ProtocolError, SpecError
 
 SPECS_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples" / "specs"
 
@@ -92,6 +94,31 @@ class TestValidationErrors:
     def test_record_every_below_one(self):
         with pytest.raises(ValueError, match=r"record_every"):
             _spec(record_every=0).validate()
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("topology.fanouts", 4),
+            ("topology.fanouts", ["a"]),
+            ("tracker.epsilon", "0.1"),
+            ("transport.scale", "x"),
+            ("topology.shards", 2.5),
+            ("record_every", 2.5),
+            ("source.sites", True),
+            ("source.params", [1]),
+        ],
+    )
+    def test_mistyped_field_names_field(self, path, value):
+        spec = _spec().with_overrides({path: value})
+        with pytest.raises(SpecError, match=re.escape(path)):
+            spec.validate()
+
+    def test_any_integral_or_real_fits_numeric_fields(self):
+        _spec(
+            source=SourceSpec(stream="monotone", length=np.int64(50), sites=np.int32(4)),
+            topology=TopologySpec(fanouts=(np.int64(2), 2)),
+            transport=TransportSpec(mode="async", latency="constant", scale=2),
+        ).validate()
 
     def test_unknown_assignment_names_field(self):
         with pytest.raises(ValueError, match=r"source\.assignment"):

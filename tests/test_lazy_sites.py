@@ -10,6 +10,8 @@ of the change: a few segments into a 4-level tree build exactly the sites
 they touch.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,6 @@ from repro.monitoring import (
     run_tracking_arrays,
 )
 from repro.monitoring.messages import BROADCAST_SITE, COORDINATOR, Message, MessageKind
-from repro.monitoring.tree import _LazyLeafNetwork
 from repro.streams import BlockedAssignment, assign_sites, random_walk_stream
 from repro.types import Update
 
@@ -112,10 +113,25 @@ class TestMillionSiteTree:
         built = {
             index: leaf.network.num_built_sites
             for index, leaf in enumerate(leaves)
-            if not isinstance(leaf.network, _LazyLeafNetwork)
+            if leaf.network.num_built_sites
         }
         assert built == per_leaf
         assert sum(built.values()) == touched.size
+
+    def test_build_allocates_nothing_per_site(self):
+        # Every node is built, but no site and no per-site table: a dense
+        # table per leaf, or a list of site ids per node, would cost
+        # megabytes here.
+        tracemalloc.start()
+        try:
+            network = build_tree_network(
+                DeterministicCounter(1_000_000, EPSILON), levels=4, fanout=10
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"tree build peaked at {peak / 2**20:.1f} MiB"
+        assert sum(leaf.network.num_built_sites for leaf in network.leaves()) == 0
 
 
 class TestLazyMatchesExplicit:

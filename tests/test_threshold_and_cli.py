@@ -107,6 +107,26 @@ class TestCli:
             r"topology\.",
         )
 
+    @pytest.mark.parametrize(
+        "config, override, pattern",
+        [
+            ("tree_3level.json", "topology.fanouts=4", r"topology\.fanouts"),
+            ("tree_3level.json", 'topology.fanouts=["a"]', r"topology\.fanouts"),
+            ("quickstart.json", 'tracker.epsilon="0.1"', r"tracker\.epsilon"),
+            ("quickstart.json", 'transport.scale="x"', r"transport\.scale"),
+            ("quickstart.json", "topology.shards=2.5", r"topology\.shards"),
+            ("quickstart.json", "record_every=2.5", r"record_every"),
+            ("quickstart.json", "source.sites=true", r"source\.sites"),
+        ],
+    )
+    def test_mistyped_spec_override_fails_cleanly(self, capsys, config, override, pattern):
+        spec = pathlib.Path(__file__).resolve().parent.parent / "examples" / "specs"
+        _assert_clean_error(
+            capsys,
+            ["run", "--config", str(spec / config), "--set", override],
+            pattern,
+        )
+
     def test_variability_command_prints_table(self, capsys):
         exit_code = main(["variability", "--stream", "monotone", "--lengths", "100", "500"])
         captured = capsys.readouterr().out
