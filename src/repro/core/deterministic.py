@@ -16,6 +16,7 @@ the block partition.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Sequence
 
 import numpy as np
@@ -38,35 +39,56 @@ from repro.monitoring.messages import (
 __all__ = ["DeterministicSite", "DeterministicCoordinator", "DeterministicCounter"]
 
 
+def _lattice_reports(rel: np.ndarray, steps, cycle_starts) -> np.ndarray:
+    """Report offsets of unit-step paths by the lattice rule, cycle by cycle.
+
+    ``rel`` is the path minus its cycle's baseline, ``steps`` the report
+    distance ``m = ceil(threshold)`` (one int, or one per step) and
+    ``cycle_starts`` the sorted offsets where cycles begin (the first is 0).
+    On unit steps from less than ``m`` away from the baseline, a report
+    moves the baseline by exactly ``m``, so baselines stay on the lattice
+    ``m·Z`` and the path visits no lattice point but its baseline between
+    two reports.  A step is a *visit* when ``rel % m == 0``; a report is a
+    visit whose lattice point differs from the previous visit's in the
+    same cycle (0 at the cycle's start).
+    """
+    points, remainders = np.divmod(rel, steps)
+    visits = np.flatnonzero(remainders == 0)
+    points = points[visits]
+    previous = np.zeros_like(points)
+    previous[1:] = points[:-1]
+    # The first visit at or after a cycle start opens a cycle (that one, or
+    # the next one with any visit), so it follows lattice point 0.
+    heads = np.searchsorted(visits, cycle_starts)
+    previous[heads[heads < visits.size]] = 0
+    return visits[points != previous]
+
+
 def _threshold_crossings(
     path: np.ndarray, baseline: int, threshold: float, position: int, stop: int
 ):
     """Report offsets of the Section 3.3 condition over ``path[position:stop]``.
 
     A report fires at the first offset whose ``|path - baseline|`` reaches
-    ``threshold`` and moves the baseline to the path value there; the scan
-    then resumes one step later.  Each search probes geometrically growing
-    segments (32, 128, ... elements, capped at 2^16), which bounds wasted
-    work near a crossing while covering long quiet stretches in one pass.
+    ``threshold`` and moves the baseline to the path value there.  The first
+    step is checked on its own, so ``baseline`` may start any distance from
+    the path; from there the path must move in unit steps, and the rest is
+    one cycle of the lattice rule (:func:`_lattice_reports`).
 
     Returns ``(offsets, baseline)``: the reporting offsets in order and the
     baseline after the last of them (``baseline`` itself if none fired).
     """
     offsets = []
-    segment = 32
-    while position < stop:
-        end = min(position + segment, stop)
-        hits = np.flatnonzero(np.abs(path[position:end] - baseline) >= threshold)
-        if hits.size:
-            position += int(hits[0])
-            offsets.append(position)
-            baseline = int(path[position])
-            position += 1
-            segment = 32
-        else:
-            position = end
-            segment = min(segment * 4, 1 << 16)
-    return offsets, baseline
+    if position < stop and abs(int(path[position]) - baseline) >= threshold:
+        offsets.append(position)
+        baseline = int(path[position])
+        position += 1
+    hits = position + _lattice_reports(
+        path[position:stop] - baseline, math.ceil(threshold), [0]
+    )
+    if hits.size:
+        baseline = int(path[hits[-1]])
+    return offsets + hits.tolist(), baseline
 
 
 class DeterministicSite(BlockTrackingSite):
@@ -134,7 +156,7 @@ class DeterministicSite(BlockTrackingSite):
         Two regimes share that emission logic: with ``threshold <= 1`` every
         step reports (closed form — this covers level 0 and low levels, where
         per-update dispatch is most expensive), and with ``threshold > 1``
-        the report steps come from the threshold-crossing scan
+        the report steps come from the lattice rule
         (:func:`_threshold_crossings`).
         """
         threshold = self._threshold_at(self.level)
@@ -152,7 +174,7 @@ class DeterministicSite(BlockTrackingSite):
                 path, self.drift - self.unreported_drift, threshold, 0, length
             )
             residual = final_drift - baseline
-        self._emit_reports(times, path, start, length, report_offsets)
+        self._emit_reports(times, path, start, report_offsets)
         self.drift = final_drift
         self.unreported_drift = residual
         return length
@@ -170,52 +192,36 @@ class DeterministicSite(BlockTrackingSite):
         """Simulate the estimation side of a multi-close window in one pass.
 
         Every report in the window is superseded by a block close before
-        the next observation point, so all of them are charged.  The entry
-        step runs at the current level with the carried-over residual; the
-        first close then wipes drift and residual, so every cycle starts
-        from zero and reports the path rebased at its preceding close.
-        Dense cycles (``threshold <= 1``) report at every step: one
-        cumulative sum minus ``np.repeat`` baselines yields all their drift
-        values at once.  Sparse cycles find their report steps with the
-        threshold-crossing scan (:func:`_threshold_crossings`), whose
-        baseline starts at the path value of the preceding close.
+        the next observation point, so all of them are charged, in one
+        call.  The entry step runs at the current level with the
+        carried-over residual; the first close then wipes drift and
+        residual, so every cycle starts from zero and reports the path
+        rebased at its preceding close.  One cumulative sum minus
+        ``np.repeat`` baselines gives every cycle's drift path, and
+        ``np.repeat`` of the per-level report distances gives each step's
+        ``m``; the lattice rule (:func:`_lattice_reports`) then finds the
+        report steps of all cycles at once (a dense cycle is ``m = 1``:
+        every step reports).
         """
         window = deltas[start : start + int(close_offsets[-1]) + 1]
         path = np.cumsum(window)
-        n_reports = 0
-        total_bits = 0
+        # Cycle j + 1 runs from cycle_starts[j] + 1 up to and including
+        # close_offsets[j + 1] at levels[j]; in ``rel`` (the path from step
+        # 1 on) it starts at offset cycle_starts[j].
+        cycle_starts = close_offsets[:-1]
+        cycle_sizes = np.diff(close_offsets)
+        lookup = [
+            math.ceil(self._threshold_at(r)) for r in range(int(levels.max()) + 1)
+        ]
+        steps = np.repeat(np.array(lookup)[levels[:-1]], cycle_sizes)
+        rel = path[1:] - np.repeat(path[cycle_starts], cycle_sizes)
+        drifts = rel[_lattice_reports(rel, steps, cycle_starts)]
+        n_reports = drifts.size
+        total_bits = drifts.size * HEADER_BITS + int(integer_bit_lengths(drifts).sum())
         entry = int(window[0])
         if abs(self.unreported_drift + entry) >= self._threshold_at(self.level):
-            n_reports = 1
-            total_bits = HEADER_BITS + integer_bit_length(self.drift + entry)
-        # Cycle j + 1 runs from cycle_starts[j] + 1 up to and including
-        # close_offsets[j + 1], at threshold thresholds[j].
-        cycle_starts = close_offsets[:-1]
-        lookup = [self._threshold_at(r) for r in range(int(levels.max()) + 1)]
-        thresholds = np.array(lookup)[levels[:-1]]
-        dense = thresholds <= 1.0
-        if dense.any():
-            cycle_sizes = np.diff(close_offsets)
-            baselines = np.repeat(path[cycle_starts], cycle_sizes)
-            drifts = (path[1:] - baselines)[np.repeat(dense, cycle_sizes)]
-            n_reports += drifts.size
-            total_bits += drifts.size * HEADER_BITS + int(
-                integer_bit_lengths(drifts).sum()
-            )
-        for j in np.flatnonzero(~dense).tolist():
-            base_value = int(path[cycle_starts[j]])
-            offsets, _ = _threshold_crossings(
-                path,
-                base_value,
-                thresholds[j],
-                int(cycle_starts[j]) + 1,
-                int(close_offsets[j + 1]) + 1,
-            )
-            n_reports += len(offsets)
-            for offset in offsets:
-                total_bits += HEADER_BITS + integer_bit_length(
-                    int(path[offset]) - base_value
-                )
+            n_reports += 1
+            total_bits += HEADER_BITS + integer_bit_length(self.drift + entry)
         if n_reports:
             self._channel.charge(MessageKind.REPORT, n_reports, total_bits)
         self.drift = 0
@@ -262,39 +268,32 @@ class DeterministicSite(BlockTrackingSite):
         self.unreported_drift = unreported
         return length
 
-    def _emit_reports(self, times, path, start, length, report_offsets) -> None:
-        """Charge all span reports except the last; send the last for real.
+    def _emit_reports(self, times, path, start, report_offsets) -> None:
+        """Charge all span reports except the last in one call; send the last.
 
         ``report_offsets`` is a sorted list of reporting offsets, or ``None``
-        meaning every offset reports (the dense regime, whose superseded
-        report bits are summed with vectorised bit lengths).
+        meaning every offset reports (the dense regime).
         """
         if report_offsets is None:
-            if length > 1:
-                superseded = integer_bit_lengths(path[:-1])
-                self._channel.charge(
-                    MessageKind.REPORT,
-                    length - 1,
-                    int(superseded.sum()) + (length - 1) * HEADER_BITS,
-                )
-            last_offset = length - 1
+            values, last_offset = path, path.size - 1
+        elif report_offsets:
+            values, last_offset = path[report_offsets], report_offsets[-1]
         else:
-            if not report_offsets:
-                return
-            for offset in report_offsets[:-1]:
-                value = int(path[offset])
-                self._channel.charge(
-                    MessageKind.REPORT,
-                    1,
-                    HEADER_BITS + integer_bit_length(value),
-                )
-            last_offset = report_offsets[-1]
+            return
+        superseded = values[:-1]
+        if superseded.size:
+            self._channel.charge(
+                MessageKind.REPORT,
+                superseded.size,
+                superseded.size * HEADER_BITS
+                + int(integer_bit_lengths(superseded).sum()),
+            )
         self.send(
             Message(
                 kind=MessageKind.REPORT,
                 sender=self.site_id,
                 receiver=COORDINATOR,
-                payload={"drift": int(path[last_offset])},
+                payload={"drift": int(values[-1])},
                 time=times[start + last_offset],
             )
         )

@@ -141,11 +141,13 @@ class StridedSharding(ShardingPolicy):
     workloads.
     """
 
-    def partition(self, num_sites: int, num_shards: int) -> List[List[int]]:
+    def partition(self, num_sites: int, num_shards: int) -> List[Sequence[int]]:
         _check_shard_counts(num_sites, num_shards)
+        # ``range`` groups sharing the one stop ``num_sites``: the sharded
+        # network routes this layout with a ``divmod`` instead of building
+        # a per-site dictionary at every tree level.
         return [
-            [site for site in range(num_sites) if site % num_shards == shard_id]
-            for shard_id in range(num_shards)
+            range(shard_id, num_sites, num_shards) for shard_id in range(num_shards)
         ]
 
 
@@ -572,25 +574,29 @@ class ShardedNetwork:
             )
         self.root_network = root_network
         # Routing: when every shard owns a contiguous, in-order range of the
-        # id space (the default ContiguousSharding layout), the map from
+        # id space (the default ContiguousSharding layout), or shard ``i``
+        # owns ``range(i, k, S)`` (the StridedSharding layout), the map from
         # site id to (shard, local id) is pure arithmetic — disjointness and
         # 0..k-1 coverage hold by construction, and no per-site dictionary
         # is built (a million-site tree would otherwise pay O(k) per level).
         # Any other layout falls back to the explicit validated dictionary.
         self._route: Optional[Dict[int, Tuple[ShardCoordinator, int]]] = None
         self._starts: Optional[List[int]] = None
-        offset = 0
-        contiguous = True
-        for shard in self.shards:
-            ids = shard.site_ids
-            if isinstance(ids, range) and ids.step == 1 and ids.start == offset and len(ids):
-                offset += len(ids)
-            else:
-                contiguous = False
-                break
-        if contiguous:
-            self._num_sites = offset
-            self._starts = [shard.site_ids.start for shard in self.shards]
+        self._stride: Optional[int] = None
+        groups = [shard.site_ids for shard in self.shards]
+        ranges = all(isinstance(ids, range) and len(ids) for ids in groups)
+        if ranges and all(
+            ids.step == 1 and ids.start == (groups[i - 1].stop if i else 0)
+            for i, ids in enumerate(groups)
+        ):
+            self._num_sites = groups[-1].stop
+            self._starts = [ids.start for ids in groups]
+        elif ranges and all(
+            ids.start == i and ids.step == len(groups) and ids.stop == groups[0].stop
+            for i, ids in enumerate(groups)
+        ):
+            self._num_sites = groups[0].stop
+            self._stride = len(groups)
         else:
             route: Dict[int, Tuple[ShardCoordinator, int]] = {}
             for shard in self.shards:
@@ -680,6 +686,9 @@ class ShardedNetwork:
                 f"update destined for site {site_id}, but network has "
                 f"{self.num_sites} sites"
             )
+        if self._stride is not None:
+            local_id, index = divmod(site, self._stride)
+            return self.shards[index], local_id
         shard = self.shards[bisect_right(self._starts, site) - 1]
         return shard, site - shard.site_ids.start
 

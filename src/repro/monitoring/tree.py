@@ -766,6 +766,7 @@ def _rewire(network: ShardedNetwork, new_groups: List[List[int]]) -> None:
             offset += len(order)
         node._route = route
         node._starts = None
+        node._stride = None
         node._num_sites = offset
         if node.root_network is not None:
             node.root_network.coordinator.num_sites = offset

@@ -231,3 +231,98 @@ class TestThresholdCrossings:
         assert _threshold_crossings(path, 0, 2.0, 0, 100) == ([99], 2)
         assert _threshold_crossings(path, 0, 2.0, 0, 101) == ([99, 100], 4)
         assert _threshold_crossings(path, 0, 2.0, 0, 99) == ([], 0)
+
+
+class _RecordingChannel:
+    """Records every charge and send a site makes."""
+
+    def __init__(self):
+        self.charges = []
+        self.sent = []
+
+    def charge(self, kind, copies, total_bits):
+        self.charges.append((kind, copies, total_bits))
+
+    def send_to_coordinator(self, message):
+        self.sent.append(message)
+
+    def totals(self):
+        return (
+            sum(copies for _, copies, _ in self.charges),
+            sum(bits for _, _, bits in self.charges),
+        )
+
+
+def _site_at(epsilon, level, drift, unreported):
+    site = DeterministicSite(site_id=0, num_sites=4, epsilon=epsilon)
+    site._channel = _RecordingChannel()
+    site.level = level
+    site.drift = drift
+    site.unreported_drift = unreported
+    return site
+
+
+def _reference_window(site, deltas, start, close_offsets, levels):
+    """``on_multiblock_window`` one step at a time, every report charged.
+
+    The entry step runs at the site's level with its carried residual; each
+    close then starts a block at the next level, which rebases the drift at
+    the close.
+    """
+    window = deltas[start : start + int(close_offsets[-1]) + 1].tolist()
+    site.on_stream_update_superseded(0, window[0])
+    for j in range(len(close_offsets) - 1):
+        site.level = int(levels[j])
+        site.on_block_start(site.level)
+        for delta in window[int(close_offsets[j]) + 1 : int(close_offsets[j + 1]) + 1]:
+            site.on_stream_update_superseded(0, delta)
+    return site._channel.totals()
+
+
+class TestLatticeRule:
+    """The window and span hooks find report steps by the lattice rule."""
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.25, 0.3, 0.5, 0.7])
+    def test_window_matches_per_step_reference(self, epsilon):
+        # 0.25 * 2^3 is an exact integer threshold, 0.1 * 2^5 is
+        # 3.2000000000000006: both kinds of report distance occur.
+        rng = np.random.default_rng(int(epsilon * 100))
+        for _ in range(60):
+            level = int(rng.integers(0, 9))
+            threshold = 1.0 if level == 0 else epsilon * 2**level
+            reach = int(np.ceil(threshold)) - 1
+            unreported = int(rng.integers(-reach, reach + 1))
+            drift = unreported + int(rng.integers(-20, 21))
+            start = int(rng.integers(0, 4))
+            length = int(rng.integers(2, 1_500))
+            deltas = rng.choice(np.array([-1, 1]), size=start + length)
+            inner = rng.choice(np.arange(1, length), size=int(rng.integers(1, 30)))
+            close_offsets = np.unique(np.concatenate([[0, length - 1], inner]))
+            levels = rng.integers(0, 9, size=close_offsets.size)
+            site = _site_at(epsilon, level, drift, unreported)
+            reference = _site_at(epsilon, level, drift, unreported)
+            assert site.on_multiblock_window(deltas, start, close_offsets, levels)
+            assert site._channel.totals() == _reference_window(
+                reference, deltas, start, close_offsets, levels
+            )
+            assert (site.drift, site.unreported_drift) == (0, 0)
+
+    def test_window_makes_one_charge(self):
+        site = _site_at(0.1, 3, 0, 0)
+        deltas = np.ones(400, dtype=np.int64)
+        close_offsets = np.array([0, 99, 199, 399])
+        levels = np.array([0, 4, 2, 3])
+        assert site.on_multiblock_window(deltas, 0, close_offsets, levels)
+        assert len(site._channel.charges) == 1
+        assert site._channel.sent == []
+
+    def test_sparse_span_makes_one_charge_and_one_send(self):
+        # eps * 2^5 = 3.2: a report every 4 steps of a rising span.
+        site = _site_at(0.1, 5, 0, 0)
+        deltas = np.ones(200, dtype=np.int64)
+        times = list(range(1, 201))
+        assert site.on_stream_batch(times, deltas, 0, 200) == 200
+        (charge,) = site._channel.charges
+        (message,) = site._channel.sent
+        assert charge[1] == 49
+        assert message.payload == {"drift": 200} and message.time == 200

@@ -20,6 +20,7 @@ from repro.core import DeterministicCounter, RandomizedCounter
 from repro.exceptions import ProtocolError
 from repro.monitoring import (
     MonitoringNetwork,
+    StridedSharding,
     build_tree_network,
     migrate_site,
     run_tracking,
@@ -122,16 +123,29 @@ class TestMillionSiteTree:
         # Every node is built, but no site and no per-site table: a dense
         # table per leaf, or a list of site ids per node, would cost
         # megabytes here.
-        tracemalloc.start()
-        try:
-            network = build_tree_network(
-                DeterministicCounter(1_000_000, EPSILON), levels=4, fanout=10
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20, f"tree build peaked at {peak / 2**20:.1f} MiB"
-        assert sum(leaf.network.num_built_sites for leaf in network.leaves()) == 0
+        _assert_million_site_build_is_lean(sharding=None)
+
+    def test_strided_build_allocates_nothing_per_site(self):
+        # Strided groups stay ``range``s routed with a divmod: a list of
+        # site ids or a routing dictionary per node would cost megabytes.
+        _assert_million_site_build_is_lean(sharding=StridedSharding())
+
+
+def _assert_million_site_build_is_lean(sharding):
+    """A k=10^6, 4-level tree builds under 8 MiB traced and builds no site."""
+    tracemalloc.start()
+    try:
+        network = build_tree_network(
+            DeterministicCounter(1_000_000, EPSILON),
+            levels=4,
+            fanout=10,
+            sharding=sharding,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"tree build peaked at {peak / 2**20:.1f} MiB"
+    assert sum(leaf.network.num_built_sites for leaf in network.leaves()) == 0
 
 
 class TestLazyMatchesExplicit:

@@ -78,7 +78,7 @@ class TestShardingPolicies:
 
     def test_strided_interleaves(self):
         groups = StridedSharding().partition(7, 3)
-        assert groups == [[0, 3, 6], [1, 4], [2, 5]]
+        assert [list(group) for group in groups] == [[0, 3, 6], [1, 4], [2, 5]]
 
     @pytest.mark.parametrize("policy", [ContiguousSharding(), StridedSharding()])
     def test_partition_is_a_partition(self, policy):
