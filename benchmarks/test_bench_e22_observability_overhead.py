@@ -28,9 +28,9 @@ import time
 from bench_support import check, size
 
 from repro.api import SourceSpec, TrackerSpec
-from repro.asynchrony import UniformLatency, build_async_network, run_tracking_async
+from repro.asynchrony import UniformLatency, async_channels, run_tracking_async
 from repro.faults import FaultPlan
-from repro.monitoring import run_tracking
+from repro.monitoring import build_tree_network, run_tracking
 from repro.observability import TraceLog, instrument_network
 
 PER_UPDATE_N = size(150_000, 10_000)
@@ -64,11 +64,12 @@ def _factory():
 
 def _build_network(engine):
     if engine == "lossy-async":
-        return build_async_network(
+        return build_tree_network(
             _factory(),
-            latency=UniformLatency(0.5, 2.0),
-            seed=3,
-            faults=FaultPlan(loss=0.1, seed=7),
+            fanouts=[],
+            channel_factory=async_channels(
+                [], UniformLatency(0.5, 2.0), seed=3, faults=FaultPlan(loss=0.1, seed=7)
+            ),
         )
     return _factory().build_network()
 

@@ -76,8 +76,7 @@ from repro.asynchrony import (
     ConstantLatency,
     HeavyTailLatency,
     UniformLatency,
-    build_async_network,
-    build_sharded_async_network,
+    async_channels,
     run_tracking_async,
 )
 from repro.api import (
@@ -95,7 +94,7 @@ from repro.monitoring import (
     MonitoringNetwork,
     ShardedNetwork,
     TrackingResult,
-    build_sharded_network,
+    build_tree_network,
     run_tracking,
     run_tracking_arrays,
 )
@@ -164,17 +163,16 @@ __all__ = [
     "MonitoringNetwork",
     "ShardedNetwork",
     "TrackingResult",
-    "build_sharded_network",
+    "build_tree_network",
     "run_tracking",
     "run_tracking_arrays",
-    "build_sharded_async_network",
     # asynchrony
     "AsyncChannel",
     "AsyncTrackingResult",
     "ConstantLatency",
     "UniformLatency",
     "HeavyTailLatency",
-    "build_async_network",
+    "async_channels",
     "run_tracking_async",
     # streams
     "assign_sites",

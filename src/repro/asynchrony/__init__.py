@@ -12,9 +12,15 @@ on a virtual clock (:mod:`repro.asynchrony.runner`).
 Existing algorithms — the Section 3 trackers and every baseline — run
 unmodified over this transport: :func:`async_channels` is the channel
 factory that :func:`repro.monitoring.tree.build_tree_network` takes for any
-shape (flat, sharded, L-level tree; latency-aware, optionally lossy), and
-the legacy :func:`build_async_network`, :func:`build_sharded_async_network`
-and :func:`build_tree_async_network` are one such call each.  The
+shape (the flat star, or one table-backed
+:class:`~repro.monitoring.sharding.ShardedNetwork` for a tree of any depth;
+latency-aware, optionally lossy)::
+
+    network = build_tree_network(
+        factory, fanouts=[4], channel_factory=async_channels([4], latency)
+    )
+
+The
 coordinator close protocols complete when the last (possibly delayed) reply
 lands, which over a synchronous channel degenerates to exactly the paper's
 reentrant behaviour.  The zero-latency configuration is bit-for-bit
@@ -37,9 +43,6 @@ from repro.asynchrony.latency import (
 from repro.asynchrony.runner import (
     AsyncTrackingResult,
     async_channels,
-    build_async_network,
-    build_sharded_async_network,
-    build_tree_async_network,
     run_tracking_async,
 )
 
@@ -56,8 +59,5 @@ __all__ = [
     "UniformLatency",
     "AsyncTrackingResult",
     "async_channels",
-    "build_async_network",
-    "build_sharded_async_network",
-    "build_tree_async_network",
     "run_tracking_async",
 ]

@@ -24,31 +24,23 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from repro.analysis.staleness import StalenessSummary, summarize_staleness
 from repro.asynchrony.channel import AsyncChannel
-from repro.asynchrony.latency import ZERO_LATENCY, LatencyModel
+from repro.asynchrony.latency import LatencyModel
 from repro.exceptions import ProtocolError
 from repro.faults.channel import FaultPlan, FaultyChannel
 from repro.monitoring.network import MonitoringNetwork
 from repro.monitoring.runner import (
     TrackingResult,
     _finish,
-    _record,
     _run_batched,
+    _run_per_update,
 )
-from repro.monitoring.sharding import (
-    ShardedNetwork,
-    ShardingPolicy,
-    build_sharded_network,
-)
-from repro.monitoring.tree import build_tree_network, resolve_fanouts
+from repro.monitoring.sharding import ShardedNetwork
 from repro.types import Update
 
 __all__ = [
     "AsyncTrackingResult",
     "run_tracking_async",
     "async_channels",
-    "build_async_network",
-    "build_sharded_async_network",
-    "build_tree_async_network",
 ]
 
 
@@ -142,6 +134,10 @@ def async_channels(
     from ``seed`` and shard ``s`` from ``seed + 1 + s``.  Loss seeds follow
     the same scheme from ``faults.seed``.  With zero latency on every level
     the run is bit-for-bit the synchronous network of the same shape.
+
+    The factory carries ``fanouts`` as an attribute, and
+    :func:`~repro.monitoring.tree.build_tree_network` refuses it for a tree
+    of any other shape (seeds and the root latency depend on the shape).
     """
     chosen_root_latency = latency if root_latency is None else root_latency
     # offsets[level]: how many nodes lie above ``level`` (1 root, then the
@@ -165,74 +161,8 @@ def async_channels(
         fault_seed = None if faults.seed is None else faults.seed + node
         return FaultyChannel(num_ports, plan=faults.with_seed(fault_seed), **options)
 
+    channel_factory.fanouts = tuple(int(fan) for fan in fanouts)
     return channel_factory
-
-
-def build_async_network(
-    factory,
-    latency: LatencyModel = ZERO_LATENCY,
-    seed: Optional[int] = 0,
-    preserve_order: bool = True,
-    faults: Optional[FaultPlan] = None,
-) -> MonitoringNetwork:
-    """The flat star over one channel from :func:`async_channels`."""
-    return build_tree_network(
-        factory,
-        fanouts=[],
-        channel_factory=async_channels([], latency, seed, preserve_order, faults),
-    )
-
-
-def build_sharded_async_network(
-    factory,
-    num_shards: int,
-    latency: LatencyModel = ZERO_LATENCY,
-    root_latency: Optional[LatencyModel] = None,
-    seed: Optional[int] = 0,
-    preserve_order: bool = True,
-    sharding: Optional[ShardingPolicy] = None,
-    faults: Optional[FaultPlan] = None,
-) -> ShardedNetwork:
-    """The legacy sharded hierarchy over :func:`async_channels`."""
-    fanouts = [num_shards] if num_shards > 1 else []
-    return build_sharded_network(
-        factory,
-        num_shards,
-        sharding=sharding,
-        channel_factory=async_channels(
-            fanouts, latency, seed, preserve_order, faults, root_latency
-        ),
-    )
-
-
-def build_tree_async_network(
-    factory,
-    levels: Optional[int] = None,
-    fanout: Optional[int] = None,
-    fanouts=None,
-    latency: LatencyModel = ZERO_LATENCY,
-    root_latency: Optional[LatencyModel] = None,
-    seed: Optional[int] = 0,
-    preserve_order: bool = True,
-    sharding: Optional[ShardingPolicy] = None,
-    epsilon_split="leaf",
-    split_ratio: float = 0.5,
-    broadcast_deadband: float = 0.0,
-    faults: Optional[FaultPlan] = None,
-):
-    """An L-level tree over :func:`async_channels`: one latency leg per level."""
-    resolved = resolve_fanouts(levels=levels, fanout=fanout, fanouts=fanouts)
-    return build_tree_network(
-        factory,
-        fanouts=resolved,
-        sharding=sharding,
-        epsilon_split=epsilon_split,
-        split_ratio=split_ratio,
-        broadcast_deadband=broadcast_deadband,
-        channel_factory=async_channels(
-            resolved, latency, seed, preserve_order, faults, root_latency
-        ),
-    )
 
 
 def run_tracking_async(
@@ -245,11 +175,11 @@ def run_tracking_async(
     """Run a distributed stream over the asynchronous transport.
 
     Args:
-        network: A network wired over async channels: flat, or a
+        network: A network wired over async channels: flat, or a tree's
             :class:`~repro.monitoring.sharding.ShardedNetwork` whose every
             channel is asynchronous (see :func:`async_channels`) — there
-            each shard-to-parent hop is scheduled as one more latency leg
-            after the site-to-shard one.
+            each child-to-parent hop is scheduled as one more latency leg
+            after the site-to-leaf one.
         updates: The distributed stream, one update per timestep, in time
             order; any iterable works and is consumed exactly once.
         record_every: Record an estimate-vs-truth point every this many
@@ -278,10 +208,9 @@ def run_tracking_async(
     """
     channel = network.channel
     if isinstance(network, ShardedNetwork):
-        # Sharded hierarchy: the network advances every shard clock, pushes
-        # fresh estimates onto the root channel (the second latency leg) and
-        # advances the root — see ShardedNetwork.advance_to.  All underlying
-        # channels must be latency-aware.
+        # A tree: the network advances every node's clock and pushes fresh
+        # estimates up each latency leg — see ShardedNetwork.advance_to.  All
+        # underlying channels must be latency-aware.
         if not all(isinstance(ch, AsyncChannel) for ch in channel.channels):
             raise ProtocolError(
                 "run_tracking_async needs every shard channel and the root "
@@ -303,37 +232,17 @@ def run_tracking_async(
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     result = AsyncTrackingResult()
-    true_value = 0
-    if batched:
-        # The synchronous batched loop, with the virtual clock advanced to
-        # each segment's first timestep before the segment is delivered.
-        _run_batched(network, updates, record_every, result, advance=advance)
-        if result.records:
-            true_value = result.records[-1].true_value
-    else:
-        last_time = 0
-        seen_any = False
-        recorded_last = False
-        for index, update in enumerate(updates):
-            advance(update.time)
-            network.deliver_update(update.time, update.site, update.delta)
-            true_value += update.delta
-            last_time = update.time
-            seen_any = True
-            if index % record_every == 0:
-                _record(result, network, update.time, true_value)
-                recorded_last = True
-            else:
-                recorded_last = False
-        if seen_any and not recorded_last:
-            _record(result, network, last_time, true_value)
+    # The synchronous loops, with the virtual clock advanced to each update's
+    # (or each segment's first) timestep before it is delivered.
+    run = _run_batched if batched else _run_per_update
+    run(network, updates, record_every, result, advance=advance)
     if drain:
         drain_all()
     stats = _finish(result, network)
     result.staleness = summarize_staleness(channel)
     result.final_clock = channel.now
     result.final_estimate = network.estimate()
-    result.final_true_value = true_value
+    result.final_true_value = result.records[-1].true_value if result.records else 0
     result.dropped = stats.dropped
     result.retransmitted = stats.retransmitted
     result.duplicates = stats.duplicates

@@ -169,11 +169,11 @@ class CormodeCounter:
         """Per-shard clone for the sharded hierarchy (same ``eps``, local ``k``)."""
         return CormodeCounter(num_sites, self.epsilon)
 
-    def build_network(self) -> MonitoringNetwork:
+    def build_network(self, channel=None) -> MonitoringNetwork:
         """Create a wired coordinator + ``k`` sites running the CMY protocol."""
         coordinator = CormodeCoordinator(self.num_sites, self.epsilon)
         sites = [CormodeSite(i) for i in range(self.num_sites)]
-        return MonitoringNetwork(coordinator, sites)
+        return MonitoringNetwork(coordinator, sites, channel=channel)
 
     def track(self, updates, record_every: int = 1, batched=None):
         """Run a distributed (monotone) stream through a fresh network."""

@@ -213,14 +213,14 @@ class HuangCounter:
         seed = None if self.seed is None else self.seed + shard_id
         return HuangCounter(num_sites, self.epsilon, seed=seed)
 
-    def build_network(self) -> MonitoringNetwork:
+    def build_network(self, channel=None) -> MonitoringNetwork:
         """Create a wired coordinator + ``k`` sites running the HYZ protocol."""
         coordinator = HuangCoordinator(self.num_sites, self.epsilon)
         sites = [
             HuangSite(i, seed=None if self.seed is None else self.seed + i)
             for i in range(self.num_sites)
         ]
-        return MonitoringNetwork(coordinator, sites)
+        return MonitoringNetwork(coordinator, sites, channel=channel)
 
     def track(self, updates, record_every: int = 1, batched=None):
         """Run a distributed insertion-only stream through a fresh network."""

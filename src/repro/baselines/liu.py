@@ -105,7 +105,7 @@ class LiuStyleCounter:
         seed = None if self.seed is None else self.seed + shard_id
         return LiuStyleCounter(num_sites, self.epsilon, seed=seed)
 
-    def build_network(self) -> MonitoringNetwork:
+    def build_network(self, channel=None) -> MonitoringNetwork:
         """Create a wired coordinator + ``k`` sampling sites."""
         sites = [
             LiuStyleSite(
@@ -114,7 +114,7 @@ class LiuStyleCounter:
             )
             for i in range(self.num_sites)
         ]
-        return MonitoringNetwork(LiuStyleCoordinator(), sites)
+        return MonitoringNetwork(LiuStyleCoordinator(), sites, channel=channel)
 
     def track(self, updates, record_every: int = 1, batched=None):
         """Run a distributed stream through a fresh network."""

@@ -63,10 +63,10 @@ class NaiveCounter:
         """Per-shard clone for the sharded hierarchy."""
         return NaiveCounter(num_sites, self.epsilon)
 
-    def build_network(self) -> MonitoringNetwork:
+    def build_network(self, channel=None) -> MonitoringNetwork:
         """Create a wired coordinator + ``k`` naive sites."""
         sites: List[NaiveSite] = [NaiveSite(i) for i in range(self.num_sites)]
-        return MonitoringNetwork(NaiveCoordinator(), sites)
+        return MonitoringNetwork(NaiveCoordinator(), sites, channel=channel)
 
     def bootstrap_network(self, network, values, counts) -> None:
         """Seed a fresh naive network with exact state (live-migration hook).

@@ -84,10 +84,12 @@ class StaticThresholdCounter:
         self.threshold = threshold
         self.epsilon = epsilon
 
-    def build_network(self) -> MonitoringNetwork:
+    def build_network(self, channel=None) -> MonitoringNetwork:
         """Create a wired coordinator + ``k`` fixed-threshold sites."""
         sites = [StaticThresholdSite(i, self.threshold) for i in range(self.num_sites)]
-        return MonitoringNetwork(StaticThresholdCoordinator(), sites)
+        return MonitoringNetwork(
+            StaticThresholdCoordinator(), sites, channel=channel
+        )
 
     def track(self, updates, record_every: int = 1, batched=None):
         """Run a distributed stream through a fresh network."""

@@ -600,25 +600,30 @@ class BlockTrackerFactory(abc.ABC):
     def shard_factory(self, num_sites: int, shard_id: int) -> "BlockTrackerFactory":
         """Clone this factory for one shard's site group.
 
-        Hook used by :func:`repro.monitoring.sharding.build_sharded_network`:
-        shard ``shard_id`` runs an independent copy of this tracker over its
-        ``num_sites``-site group, so every protocol threshold and the block
-        close's reply quorum are derived from the shard's own size, never the
-        global ``k``.  Factories with extra construction state (seeds)
-        override this to derive per-shard values deterministically.
+        Hook used by :func:`repro.monitoring.tree.build_tree_network`: the
+        leaf at position ``shard_id`` of the leaf level runs an independent
+        copy of this tracker over its ``num_sites``-site group, so every
+        protocol threshold and the block close's reply quorum are derived
+        from the leaf's own size, never the global ``k``.  Factories with
+        extra construction state (seeds) override this to derive per-shard
+        values deterministically.
         """
         return type(self)(num_sites, self.epsilon)
 
-    def build_network(self) -> MonitoringNetwork:
+    def build_network(self, channel=None) -> MonitoringNetwork:
         """Create a wired coordinator + ``k`` sites network.
 
         Sites are built on first touch (see :class:`MonitoringNetwork`), so
         a leaf of a large tree pays for the sites its traffic reaches, not
         for all ``k``.  Every site's construction depends on its id alone,
-        so build order cannot change any state or RNG draw.
+        so build order cannot change any state or RNG draw.  ``channel``
+        injects the transport (default: the synchronous counted channel).
         """
         return MonitoringNetwork(
-            self.build_coordinator(), self.num_sites, build_site=self.build_site
+            self.build_coordinator(),
+            self.num_sites,
+            channel=channel,
+            build_site=self.build_site,
         )
 
     def bootstrap_network(self, network, values, counts) -> None:

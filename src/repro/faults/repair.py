@@ -11,8 +11,8 @@ every close so a site can subtract *exactly what it replied* and keep the gap
 drift for the next close's REPLY to carry into the boundary.
 
 :func:`enable_close_repair` flips the flag on every block-tracking actor of a
-network, descending through sharded/tree hierarchies, so both ends of every
-leaf channel agree on the payload format.
+network — every leaf of a tree — so both ends of every leaf channel agree on
+the payload format.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ __all__ = ["enable_close_repair"]
 def enable_close_repair(network) -> int:
     """Enable sequence-numbered block closes on every actor of ``network``.
 
-    Descends recursively through :class:`~repro.monitoring.sharding.ShardedNetwork`
-    hierarchies into each shard's inner network (the root aggregator exchanges
-    no close protocol, so only the leaf networks are touched) and flags every
+    On a :class:`~repro.monitoring.sharding.ShardedNetwork` it visits every
+    leaf row's network (aggregators exchange no close protocol, so only the
+    leaf networks are touched) and flags every
     :class:`~repro.core.template.BlockTrackingSite` and
     :class:`~repro.core.template.BlockTrackingCoordinator`.  Must be called
     before the run starts: flipping the payload format mid-protocol would
@@ -41,7 +41,14 @@ def enable_close_repair(network) -> int:
         ConfigurationError: If the network contains no block-tracking actors
             to repair (e.g. a baseline tracker).
     """
-    flagged = _flag(network)
+    from repro.monitoring.sharding import ShardedNetwork
+
+    networks = (
+        [leaf.network for leaf in network.leaves()]
+        if isinstance(network, ShardedNetwork)
+        else [network]
+    )
+    flagged = sum(_flag(leaf) for leaf in networks)
     if flagged == 0:
         raise ConfigurationError(
             "close repair needs a block-tracking network; this network has "
@@ -51,10 +58,6 @@ def enable_close_repair(network) -> int:
 
 
 def _flag(network) -> int:
-    from repro.monitoring.sharding import ShardedNetwork
-
-    if isinstance(network, ShardedNetwork):
-        return sum(_flag(shard.network) for shard in network.shards)
     flagged = 0
     coordinator = getattr(network, "coordinator", None)
     if isinstance(coordinator, BlockTrackingCoordinator):

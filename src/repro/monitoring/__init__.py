@@ -24,18 +24,19 @@ iterable of updates (no ``len()`` required) and keeps memory at
 ``O(records)``.
 
 Past what one coordinator can serve, :mod:`repro.monitoring.sharding` scales
-the substrate into a recursive hierarchy: disjoint site groups each run an
-unmodified coordinator locally (:class:`ShardCoordinator`), and a
-:class:`RootAggregator` merges the shard estimates over another counted
-channel — communication stays separately accounted per shard, and the
-single-shard configuration is bit-for-bit the flat engine.
+the substrate into a tree held as one table of node rows
+(:class:`ShardCoordinator`) under one :class:`ShardedNetwork`: disjoint site
+groups each run an unmodified coordinator locally at the leaves, and every
+aggregator row's :class:`RootAggregator` merges its children's estimates
+over another counted channel — communication stays separately accounted
+per node.
 :func:`build_tree_network` is the one network builder: ``fanouts=[]`` is
 the flat star, ``fanouts=[S]`` the two-level hierarchy and deeper lists
 L-level trees, with the error budget split across levels
 (:func:`resolve_epsilon_split`) and live site migration between leaf shards
 (:func:`migrate_site`).  Its ``channel_factory`` argument is the one
 transport seam (:func:`repro.asynchrony.async_channels` for latency and
-loss); the legacy ``build_sharded_network`` is one call to it.
+loss).
 """
 
 from repro.monitoring.channel import Channel, ChannelStats
@@ -62,7 +63,6 @@ from repro.monitoring.sharding import (
     ShardedNetwork,
     ShardingPolicy,
     StridedSharding,
-    build_sharded_network,
 )
 from repro.monitoring.site import Site
 from repro.monitoring.tree import (
@@ -100,7 +100,6 @@ __all__ = [
     "ShardedNetwork",
     "ShardingPolicy",
     "StridedSharding",
-    "build_sharded_network",
     "Site",
     "EPSILON_SPLIT_NAMES",
     "EpsilonSplitPolicy",

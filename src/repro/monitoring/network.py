@@ -10,12 +10,11 @@ protocol-equivalent: batch delivery produces the same messages, in the same
 order, with the same counted cost as per-update delivery.
 
 A :class:`MonitoringNetwork` is one *flat* star: one coordinator, ``k``
-sites, one channel.  The two-level sharded topology
-(:mod:`repro.monitoring.sharding`) composes flat networks: each shard is a
-flat network over its own site group, and a second flat network — whose
-"sites" are the shard uplinks — connects the shard coordinators to the root
-aggregator.  :meth:`MonitoringNetwork.multicast` is the shard-aware delivery
-primitive that topology adds to the substrate.
+sites, one channel.  A monitoring tree (:mod:`repro.monitoring.sharding`)
+gives every node of its table one flat network: a leaf's is the tracker's
+network over its site group, an aggregator's has its children's uplinks as
+its "sites".  :meth:`MonitoringNetwork.multicast` is the shard-aware
+delivery primitive that topology adds to the substrate.
 """
 
 from __future__ import annotations

@@ -240,13 +240,21 @@ def _run_per_update(
     updates: Iterable[Update],
     record_every: int,
     result: TrackingResult,
+    advance=None,
 ) -> None:
-    """Original engine: one ``deliver_update`` dispatch per timestep."""
+    """Original engine: one ``deliver_update`` dispatch per timestep.
+
+    ``advance`` hooks in the asynchronous engine: when given, it is called
+    with each update's timestep before the update is delivered (see
+    :func:`repro.asynchrony.runner.run_tracking_async`).
+    """
     true_value = 0
     last_time = 0
     seen_any = False
     recorded_last = False
     for index, update in enumerate(updates):
+        if advance is not None:
+            advance(update.time)
         network.deliver_update(update.time, update.site, update.delta)
         true_value += update.delta
         last_time = update.time

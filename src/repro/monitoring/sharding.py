@@ -1,58 +1,51 @@
-"""Recursive sharded hierarchy: coordinator subtrees under aggregators.
+"""Monitoring trees as one table: node rows under a single network.
 
 The flat topology puts one coordinator in front of all ``k`` sites, which
 caps scalability at what a single Python object (and a single message queue)
-can absorb.  This module refactors the substrate into a *recursively
-composable* hierarchy:
+can absorb.  This module holds the hierarchy's node types:
 
-* a :class:`ShardCoordinator` owns a *disjoint group* of sites and runs any
-  existing :class:`~repro.monitoring.coordinator.Coordinator` — the block
-  template, Cormode, Huang, the naive counter — locally over its own counted
-  channel, completely unmodified (the inner coordinator is built for the
-  shard's group size, so block closes complete on the shard's own reply
-  count, never the global ``k``);
-* a :class:`RootAggregator` merges the shard-level estimates into the global
-  estimate and re-sends global level changes down to the shards whose
-  recorded level is stale (a shard-aware multicast, charged per receiver);
-* crucially, a :class:`ShardCoordinator`'s inner network may itself be a
-  :class:`ShardedNetwork`: the shard's uplink is then the *subtree's* port on
-  its parent's channel, and the two-level hierarchy generalizes to an
-  L-level monitoring tree (:func:`repro.monitoring.tree.build_tree_network`)
-  with no change to the delivery, push or accounting semantics at any single
-  level.  Delivery, virtual-clock advancement, draining and per-level
-  accounting all recurse structurally through the nesting.
+* a :class:`ShardCoordinator` is one *row* of a tree's node table: its
+  level, position, parent and children, the site ids it owns, its push
+  state, and its own :class:`~repro.monitoring.network.MonitoringNetwork` —
+  for a leaf, an unmodified flat tracker network over the leaf's site group
+  (the block template, Cormode, Huang, the naive counter, built for the
+  group's size, so block closes complete on the leaf's own reply count,
+  never the global ``k``); for an aggregator, a :class:`RootAggregator`
+  over its children's :class:`ShardUplink` ports;
+* a :class:`RootAggregator` merges its children's estimates and re-sends
+  level changes to the children whose recorded level is stale (a
+  shard-aware multicast, charged per receiver);
+* a :class:`ShardedNetwork` owns the whole table — row 0 is the root, its
+  children are the network's ``shards`` — routes delivery down the rows,
+  walks them depth-first for clocks and draining, and keeps per-level
+  accounting as loops over the table.
 
-Both levels run over ordinary counted channels, so **communication stays
-separately accounted per shard**: each shard channel counts the up/down
-traffic between its sites and its coordinator, and the root channel counts
-the shard-to-root hops.  This module holds the node types only; networks
-are wired by :func:`repro.monitoring.tree.build_tree_network`, whose channel
-factory is the one transport seam — latency-aware channels from
-:func:`repro.asynchrony.async_channels` turn the shard-to-root hop into a
-second latency leg.  :func:`build_sharded_network` is the legacy
-``fanouts=[num_shards]`` spelling of that call.
+Every node runs over its own counted channel, so **communication stays
+separately accounted per node**: a leaf channel counts the traffic between
+its sites and its coordinator, an aggregator channel the hops from its
+children.  Networks are wired by
+:func:`repro.monitoring.tree.build_tree_network`, whose channel factory is
+the one transport seam — latency-aware channels from
+:func:`repro.asynchrony.async_channels` turn every hop into a latency leg.
 
 Estimate contract (the hierarchical-merge property, pinned by
-``tests/test_sharding_property.py``): every shard behaves *bit-for-bit* like a
-flat coordinator run over its own substream, and the root's estimate is the
-exact sum of the shard estimates.  With ``num_shards == 1`` the hierarchy
-degenerates to the flat network itself — no root hop exists, and runs are
-bit-for-bit identical to the flat engine in estimates, message counts, bit
-counts and transcript order, across the per-update, batched and asynchronous
-engines (``tests/test_sharding.py``).
+``tests/test_sharding_property.py``): every leaf behaves *bit-for-bit* like a
+flat coordinator run over its own substream, and every aggregator's estimate
+is the exact sum of its children's pushed estimates.  One shard is no tree:
+the builder returns the flat network itself.
 
-Push granularity: a shard pushes its estimate to the root whenever the
+Push granularity: a node pushes its estimate to its parent whenever the
 estimate changed since the last push, evaluated after each delivery event
 (one update on the per-update engine, one contiguous run on the batched and
 columnar engines) and after each virtual-clock advance on the asynchronous
-engine.  Shard-local traffic is engine-invariant by the existing
-batched-equivalence contract — each shard's sites route their runs through
+engine.  Leaf-local traffic is engine-invariant by the existing
+batched-equivalence contract — each leaf's sites route their runs through
 the same span kernel (:mod:`repro.engine`) as a flat network, multi-block
-fast-forwarding included, against the shard's own coordinator; the
-*root-hop count* depends on delivery granularity, exactly like
-transport-level batching on a real uplink.  The asynchronous bulk span
-engine (``run_tracking_async(batched=True)``) extends the same trade to the
-transport: one in-flight event per shard-local span, estimate pushes at
+fast-forwarding included, against the leaf's own coordinator; the
+*push count* depends on delivery granularity, exactly like transport-level
+batching on a real uplink.  The asynchronous bulk span engine
+(``run_tracking_async(batched=True)``) extends the same trade to the
+transport: one in-flight event per leaf-local span, estimate pushes at
 segment boundaries.
 """
 
@@ -83,7 +76,6 @@ __all__ = [
     "RootAggregator",
     "ShardedChannelView",
     "ShardedNetwork",
-    "build_sharded_network",
 ]
 
 
@@ -175,56 +167,57 @@ class ShardUplink(Site):
 
 
 class ShardCoordinator:
-    """One shard: an unmodified inner network over a disjoint site group.
+    """One node of a monitoring tree: a row of its network's node table.
 
-    The shard runs any existing coordinator/site set (built by the tracker
+    A leaf row runs any existing coordinator/site set (built by the tracker
     factory for the *group's* size, so every protocol threshold and reply
-    quorum is shard-local) over its own counted channel, and pushes its
-    estimate to its parent aggregator whenever it changes by more than the
-    shard's push deadband (0 by default: push on any change).
-
-    The inner ``network`` may itself be a :class:`ShardedNetwork` — then this
-    object wraps a whole *subtree* and its uplink is the subtree's port on
-    the parent channel, which is what makes the hierarchy recursively
-    composable to any depth.
+    quorum is leaf-local) over its own counted channel; an aggregator row
+    runs a :class:`RootAggregator` over its children's uplinks.  Every row
+    but the root pushes its estimate to its parent whenever it changes by
+    more than the row's push deadband (0 by default: push on any change).
 
     Attributes:
-        shard_id: Position of this shard on its parent's channel.
-        network: The inner network — a flat :class:`MonitoringNetwork` for a
-            leaf shard, or a nested :class:`ShardedNetwork` for a subtree.
-        site_ids: Site ids owned by this shard *in the parent's id space*
-            (global ids at the top level); the position of an id in this
-            tuple is its shard-local site id.
+        shard_id: Position of this node on its parent's channel (0 at the
+            root).
+        network: The node's own network — a flat tracker
+            :class:`MonitoringNetwork` for a leaf, the aggregator's
+            :class:`MonitoringNetwork` over its children's uplinks otherwise.
+        site_ids: Site ids owned by this node *in the parent's id space*
+            (global ids under the root); the position of an id in this
+            tuple is its node-local site id.
+        level: Depth in the tree (0 = root).
+        position: Left-to-right index within the level.
+        parent: The parent row (``None`` at the root).
+        children: Child rows, left to right (empty for a leaf).
         root_level: Last level received from the parent aggregator
-            (diagnostic — shard-local protocol behaviour never depends on it,
+            (diagnostic — node-local protocol behaviour never depends on it,
             which is what makes the hierarchy exactly compositional).
-        uplink: This shard's port on the parent channel.
+        uplink: This node's port on the parent channel.
         push_deadband: Relative budget for upward pushes: a new estimate is
             withheld while ``|new - last| <= push_deadband * |last|``.  The
             default 0.0 pushes on any change (the exact legacy behaviour);
             positive values are assigned by the tree builder's epsilon-split
-            policy and trade root-leg traffic for bounded per-hop error.
-        parent_network: The :class:`ShardedNetwork` whose ``shards`` tuple
-            contains this shard (set by that network; ``None`` until wired).
+            policy and trade parent-leg traffic for bounded per-hop error.
     """
 
     def __init__(
         self,
         shard_id: int,
-        network,
+        network: MonitoringNetwork,
         site_ids: Sequence[int],
+        level: int = 0,
+        position: int = 0,
+        children: Sequence["ShardCoordinator"] = (),
     ) -> None:
         if shard_id < 0:
             raise ConfigurationError(f"shard id must be >= 0, got {shard_id}")
-        if len(site_ids) != network.num_sites:
+        if not children and len(site_ids) != network.num_sites:
             raise ConfigurationError(
                 f"shard {shard_id} owns {len(site_ids)} global sites but its "
                 f"network serves {network.num_sites}"
             )
         self.shard_id = shard_id
         self.network = network
-        if isinstance(network, ShardedNetwork):
-            network.wrapper = self
         # A contiguous group stays a symbolic ``range`` (indexing, length
         # and membership behave exactly like the tuple) so million-site
         # trees never materialise per-site id tuples level by level.
@@ -233,57 +226,104 @@ class ShardCoordinator:
             if isinstance(site_ids, range)
             else tuple(int(site) for site in site_ids)
         )
+        self.level = level
+        self.position = position
+        self.parent: Optional["ShardCoordinator"] = None
+        self.children: Tuple["ShardCoordinator", ...] = tuple(children)
+        for child in self.children:
+            child.parent = self
         self.root_level = 0
         self.uplink = ShardUplink(self)
         self._last_pushed = 0.0
-        #: Estimate pushes sent to the parent so far (per-shard uplink count).
+        #: Estimate pushes sent to the parent so far (per-node uplink count).
         self.pushes = 0
         #: Pushes withheld by the deadband (saved uplink messages).
         self.pushes_suppressed = 0
         self.push_deadband = 0.0
-        self.parent_network: Optional["ShardedNetwork"] = None
+        if self.children:
+            self._route_children()
+
+    def _route_children(self) -> None:
+        """Map this node's site ids to ``(child, child-local id)``.
+
+        When every child owns a contiguous, in-order range of the id space
+        (the default ContiguousSharding layout), or child ``i`` owns
+        ``range(i, k, S)`` (the StridedSharding layout), the map is pure
+        arithmetic — disjointness and 0..k-1 coverage hold by construction,
+        and no per-site dictionary is built (a million-site tree would
+        otherwise pay O(k) per level).  Any other layout falls back to the
+        explicit validated dictionary.
+        """
+        self._route: Optional[Dict[int, Tuple["ShardCoordinator", int]]] = None
+        self._starts: Optional[List[int]] = None
+        self._stride: Optional[int] = None
+        groups = [child.site_ids for child in self.children]
+        ranges = all(isinstance(ids, range) and len(ids) for ids in groups)
+        if ranges and all(
+            ids.step == 1 and ids.start == (groups[i - 1].stop if i else 0)
+            for i, ids in enumerate(groups)
+        ):
+            self._starts = [ids.start for ids in groups]
+        elif ranges and all(
+            ids.start == i and ids.step == len(groups) and ids.stop == groups[0].stop
+            for i, ids in enumerate(groups)
+        ):
+            self._stride = len(groups)
+        else:
+            route: Dict[int, Tuple[ShardCoordinator, int]] = {}
+            for child in self.children:
+                for local_id, global_id in enumerate(child.site_ids):
+                    if global_id in route:
+                        raise ConfigurationError(
+                            f"site {global_id} is owned by more than one shard"
+                        )
+                    route[global_id] = (child, local_id)
+            if set(route) != set(range(len(route))):
+                raise ConfigurationError(
+                    "shard site groups must cover exactly 0..k-1, got "
+                    f"{sorted(route)}"
+                )
+            self._route = route
+
+    def _locate(self, site_id: int) -> Tuple["ShardCoordinator", int]:
+        """The child owning this node's site ``site_id``, and its local id."""
+        if self._starts is not None:
+            child = self.children[bisect_right(self._starts, site_id) - 1]
+            return child, site_id - child.site_ids.start
+        if self._stride is not None:
+            local_id, index = divmod(site_id, self._stride)
+            return self.children[index], local_id
+        return self._route[site_id]
 
     @property
     def is_leaf(self) -> bool:
-        """Whether this shard's inner network is flat (serves real sites)."""
-        return not isinstance(self.network, ShardedNetwork)
-
-    def replace_network(self, network) -> None:
-        """Swap the inner network during a migration state handoff.
-
-        The wrapper object itself survives the handoff — its uplink stays
-        registered on the parent channel and its push counters keep
-        accumulating — only the inner network is rebuilt around the new
-        membership (see :func:`repro.monitoring.tree.migrate_site`).
-        """
-        if isinstance(network, ShardedNetwork):
-            network.wrapper = self
-        self.network = network
+        """Whether this node serves real sites (has no children)."""
+        return not self.children
 
     @property
     def num_sites(self) -> int:
-        """Number of sites this shard serves."""
-        return self.network.num_sites
+        """Number of sites this node's subtree serves."""
+        return len(self.site_ids)
 
     @property
     def coordinator(self) -> Coordinator:
-        """The unmodified inner coordinator running this shard's protocol."""
+        """The node's coordinator: the leaf tracker's, or the aggregator."""
         return self.network.coordinator
 
     @property
     def stats(self) -> ChannelStats:
-        """Live communication counters of the shard-local channel."""
+        """Live communication counters of this node's own channel."""
         return self.network.stats
 
     def estimate(self) -> float:
-        """The shard's current estimate of its local substream value."""
+        """The node's current estimate of its subtree's value."""
         return self.network.estimate()
 
     def push_estimate(self, time: int) -> None:
         """Push the local estimate to the parent if it moved past the deadband.
 
-        The initial value 0.0 is the parent's prior for every shard, so a
-        shard that never communicates never pushes — matching the flat
+        The initial value 0.0 is the parent's prior for every child, so a
+        node that never communicates never pushes — matching the flat
         protocols, which also say nothing while their estimate sits at zero.
         With a positive :attr:`push_deadband` ``b``, a change is withheld
         while ``|new - last| <= b * |last|`` — one relative-error hop of the
@@ -310,7 +350,7 @@ class ShardCoordinator:
         )
 
     def on_root_message(self, message: Message) -> None:
-        """Record a level change re-sent by the root aggregator."""
+        """Record a level change re-sent by the parent aggregator."""
         if message.kind is not MessageKind.BROADCAST:
             raise ConfigurationError(
                 f"shard {self.shard_id} received unexpected root message kind "
@@ -425,41 +465,33 @@ class RootAggregator(Coordinator):
 
 
 class ShardedChannelView:
-    """Read-only aggregate over every real channel in a (sub)hierarchy.
+    """Read-only aggregate over every channel of a tree.
 
     Presents the runner-facing slice of the channel interface —
     ``is_synchronous`` and merged ``stats`` for the synchronous engines, the
     staleness signals (``delivery_ages``, ``inflight_highwater``,
     ``reordered_deliveries``), ``in_flight`` and ``now`` for the
-    asynchronous one — so both runners drive a sharded network exactly like
-    a flat one.  ``inflight_highwater`` is the *sum* of the per-channel
+    asynchronous one — so both runners drive a tree exactly like a flat
+    network.  ``inflight_highwater`` is the *sum* of the per-channel
     high-water marks (channels peak at different instants, so this is an
     upper bound on the true global peak).
 
-    The view is *live*: it holds the network, not a channel list, and
-    resolves :attr:`channels` on every access.  Nested subtrees are
-    flattened to their real channels, and a migration that rebuilds a leaf
-    network is reflected immediately — cumulative stats stay monotone
-    because rebuilt channels adopt their predecessor's counters.
+    :attr:`channels` lists every node's channel in post-order (each child's
+    subtree, then the node's own channel).  It is built once and rebuilt by
+    :meth:`refresh` when a migration rebuilds a leaf network; cumulative
+    stats stay monotone because rebuilt channels adopt their predecessor's
+    counters.
     """
 
     def __init__(self, network: "ShardedNetwork") -> None:
         self._network = network
+        self.refresh()
 
-    @property
-    def channels(self) -> Tuple[Channel, ...]:
-        """All real channels: each shard's (subtrees flattened), then the root."""
-        flat: List[Channel] = []
-        for shard in self._network.shards:
-            channel = shard.network.channel
-            if isinstance(channel, ShardedChannelView):
-                flat.extend(channel.channels)
-            else:
-                flat.append(channel)
-        root_network = self._network.root_network
-        if root_network is not None:
-            flat.append(root_network.channel)
-        return tuple(flat)
+    def refresh(self) -> None:
+        """Re-read every node's channel from the network's table."""
+        self.channels: Tuple[Channel, ...] = tuple(
+            row.network.channel for row in self._network._post
+        )
 
     @property
     def is_synchronous(self) -> bool:
@@ -468,7 +500,7 @@ class ShardedChannelView:
 
     @property
     def stats(self) -> ChannelStats:
-        """Merged counters over every shard channel and the root channel."""
+        """Merged counters over every node's channel."""
         return ChannelStats.merge(channel.stats for channel in self.channels)
 
     def totals(self) -> Tuple[int, int]:
@@ -494,7 +526,7 @@ class ShardedChannelView:
 
     @property
     def delivery_ages(self) -> List[float]:
-        """All channels' delivery ages, shard order then root."""
+        """All channels' delivery ages, in :attr:`channels` order."""
         ages: List[float] = []
         for channel in self.channels:
             ages.extend(getattr(channel, "delivery_ages", ()))
@@ -515,110 +547,65 @@ class ShardedChannelView:
     @property
     def in_flight(self) -> int:
         """Messages currently travelling on any underlying channel."""
-        return sum(getattr(channel, "in_flight", 0) for channel in self.channels)
+        return _in_flight(self.channels)
 
     @property
     def now(self) -> float:
         """Latest virtual clock across the underlying channels."""
-        return max(
-            (getattr(channel, "now", 0.0) for channel in self.channels), default=0.0
-        )
+        return _now(self.channels)
+
+
+def _in_flight(channels) -> int:
+    return sum(getattr(channel, "in_flight", 0) for channel in channels)
+
+
+def _now(channels) -> float:
+    return max((getattr(channel, "now", 0.0) for channel in channels), default=0.0)
 
 
 class ShardedNetwork:
-    """One level of the monitoring hierarchy: shards under an aggregator.
+    """A monitoring tree: one table of :class:`ShardCoordinator` rows.
 
     Exposes the same driving surface as :class:`MonitoringNetwork`
     (``deliver_update``, ``deliver_batch``, ``estimate``, ``stats``,
     ``channel``), so :func:`repro.monitoring.runner.run_tracking` and
-    :func:`repro.asynchrony.run_tracking_async` run it unmodified.  Updates
-    are routed to the owning shard (site id to shard-local id), each leaf
-    shard's batched fast path runs against its own unmodified coordinator,
-    and after every delivery the affected shard pushes its estimate to the
-    root if it changed.  A shard whose inner network is itself a
-    :class:`ShardedNetwork` recurses: delivery, clock advancement, draining
-    and accounting all descend structurally, so an L-level tree is just
-    L - 1 nested instances of this one class
-    (:func:`repro.monitoring.tree.build_tree_network`).
+    :func:`repro.asynchrony.run_tracking_async` run it unmodified.  An update
+    is routed down the rows to its leaf (site id to leaf-local id), each
+    leaf's batched fast path runs against its own unmodified coordinator,
+    and after every delivery the rows on the path push their estimates
+    bottom-up.  Clocks and draining walk the rows depth-first; accounting
+    loops over the table.
 
-    With one shard there is no root: the network is the flat topology
-    itself, bit-for-bit, and :meth:`estimate` reads the single shard
-    directly.
+    Args:
+        nodes: The node table in pre-order (each node before its subtree,
+            children left to right); row 0 is the root aggregator, and every
+            leaf sits at the deepest level.  Built by
+            :func:`repro.monitoring.tree.build_tree_network`.
     """
 
-    def __init__(
-        self,
-        shards: Sequence[ShardCoordinator],
-        root_network: Optional[MonitoringNetwork],
-    ) -> None:
-        if not shards:
-            raise ConfigurationError("a sharded network needs at least one shard")
-        self.shards: Tuple[ShardCoordinator, ...] = tuple(shards)
-        #: The ShardCoordinator wrapping this network when it is a subtree of
-        #: a deeper hierarchy; ``None`` at the top of the tree.
-        self.wrapper: Optional[ShardCoordinator] = None
-        if len(self.shards) == 1:
-            if root_network is not None:
-                raise ConfigurationError(
-                    "a single-shard network is the flat topology; it takes no "
-                    "root network (and pays no root hop)"
-                )
-        elif root_network is None:
+    def __init__(self, nodes: Sequence[ShardCoordinator]) -> None:
+        self.nodes: Tuple[ShardCoordinator, ...] = tuple(nodes)
+        root = self.nodes[0]
+        if root.parent is not None or len(root.children) < 2:
             raise ConfigurationError(
-                f"{len(self.shards)} shards need a root network to merge them"
+                "a sharded network's row 0 must be a root with at least two "
+                "children (a single shard is the flat network itself)"
             )
-        elif root_network.num_sites != len(self.shards):
-            raise ConfigurationError(
-                f"root network serves {root_network.num_sites} uplinks, "
-                f"topology has {len(self.shards)} shards"
-            )
-        self.root_network = root_network
-        # Routing: when every shard owns a contiguous, in-order range of the
-        # id space (the default ContiguousSharding layout), or shard ``i``
-        # owns ``range(i, k, S)`` (the StridedSharding layout), the map from
-        # site id to (shard, local id) is pure arithmetic — disjointness and
-        # 0..k-1 coverage hold by construction, and no per-site dictionary
-        # is built (a million-site tree would otherwise pay O(k) per level).
-        # Any other layout falls back to the explicit validated dictionary.
-        self._route: Optional[Dict[int, Tuple[ShardCoordinator, int]]] = None
-        self._starts: Optional[List[int]] = None
-        self._stride: Optional[int] = None
-        groups = [shard.site_ids for shard in self.shards]
-        ranges = all(isinstance(ids, range) and len(ids) for ids in groups)
-        if ranges and all(
-            ids.step == 1 and ids.start == (groups[i - 1].stop if i else 0)
-            for i, ids in enumerate(groups)
-        ):
-            self._num_sites = groups[-1].stop
-            self._starts = [ids.start for ids in groups]
-        elif ranges and all(
-            ids.start == i and ids.step == len(groups) and ids.stop == groups[0].stop
-            for i, ids in enumerate(groups)
-        ):
-            self._num_sites = groups[0].stop
-            self._stride = len(groups)
-        else:
-            route: Dict[int, Tuple[ShardCoordinator, int]] = {}
-            for shard in self.shards:
-                for local_id, global_id in enumerate(shard.site_ids):
-                    if global_id in route:
-                        raise ConfigurationError(
-                            f"site {global_id} is owned by more than one shard"
-                        )
-                    route[global_id] = (shard, local_id)
-            if set(route) != set(range(len(route))):
-                raise ConfigurationError(
-                    "shard site groups must cover exactly 0..k-1, got "
-                    f"{sorted(route)}"
-                )
-            self._route = route
-            self._num_sites = len(route)
-        for shard in self.shards:
-            shard.parent_network = self
+        self.shards: Tuple[ShardCoordinator, ...] = root.children
+        self.root_network: MonitoringNetwork = root.network
+        self._root = root
+        self._num_sites = root.num_sites
+        # Rows grouped by level, and the post-order (children before
+        # parents) that channel aggregates and shard stats follow.
+        levels: List[List[ShardCoordinator]] = []
+        for row in self.nodes:
+            if row.level == len(levels):
+                levels.append([])
+            levels[row.level].append(row)
+        self._levels = levels
+        self._post: Tuple[ShardCoordinator, ...] = tuple(_post_order(root, []))
         self.channel = ShardedChannelView(self)
-        # Exact per-site running value and update count, maintained at the
-        # top of the tree only (nested instances see deliveries with their
-        # wrapper already set and skip the bookkeeping).  This is what the
+        # Exact per-site running value and update count.  This is what the
         # live-migration state handoff checkpoints a site group from; the
         # default-0 entries of never-touched sites are never stored.
         self._site_values: Dict[int, int] = defaultdict(int)
@@ -628,118 +615,89 @@ class ShardedNetwork:
 
     @property
     def num_sites(self) -> int:
-        """Global number of sites ``k`` across all shards."""
+        """Global number of sites ``k`` across all leaves."""
         return self._num_sites
 
     @property
     def num_shards(self) -> int:
-        """Number of shards in the hierarchy."""
+        """Number of the root's children."""
         return len(self.shards)
 
     @property
-    def root(self) -> Optional[RootAggregator]:
-        """The root aggregator, or ``None`` in the single-shard topology."""
-        if self.root_network is None:
-            return None
+    def root(self) -> RootAggregator:
+        """The root aggregator."""
         return self.root_network.coordinator
 
     @property
     def num_levels(self) -> int:
-        """Number of coordinator levels in this (sub)hierarchy.
-
-        A flat inner network counts one level (its shard coordinators); each
-        aggregator above adds one.  The legacy two-level topology reports 2,
-        its single-shard degenerate (no root) reports 1.
-        """
-        deepest = max(
-            shard.network.num_levels if isinstance(shard.network, ShardedNetwork) else 1
-            for shard in self.shards
-        )
-        return deepest + (1 if self.root_network is not None else 0)
+        """Number of coordinator levels: the aggregators' plus the leaves'."""
+        return len(self._levels)
 
     def leaves(self) -> List[ShardCoordinator]:
-        """All leaf shards (the ones serving real sites), left to right."""
-        out: List[ShardCoordinator] = []
-        for shard in self.shards:
-            if isinstance(shard.network, ShardedNetwork):
-                out.extend(shard.network.leaves())
-            else:
-                out.append(shard)
-        return out
+        """All leaf rows (the ones serving real sites), left to right."""
+        return list(self._levels[-1])
 
     def shard_of(self, site_id: int) -> ShardCoordinator:
-        """Return the shard that owns global site ``site_id``."""
-        return self._locate(site_id)[0]
+        """Return the root's child that owns global site ``site_id``."""
+        row = self._leaf(site_id)[0]
+        while row.parent is not self._root:
+            row = row.parent
+        return row
 
-    def _locate(self, site_id: int) -> Tuple[ShardCoordinator, int]:
+    def _leaf(self, site_id: int) -> Tuple[ShardCoordinator, int]:
+        """The leaf row serving global site ``site_id``, and its local id."""
         site = int(site_id)
-        if self._route is not None:
-            try:
-                return self._route[site]
-            except KeyError:
-                raise ProtocolError(
-                    f"update destined for site {site_id}, but network has "
-                    f"{self.num_sites} sites"
-                ) from None
         if not 0 <= site < self._num_sites:
             raise ProtocolError(
                 f"update destined for site {site_id}, but network has "
                 f"{self.num_sites} sites"
             )
-        if self._stride is not None:
-            local_id, index = divmod(site, self._stride)
-            return self.shards[index], local_id
-        shard = self.shards[bisect_right(self._starts, site) - 1]
-        return shard, site - shard.site_ids.start
+        node = self._root
+        while node.children:
+            node, site = node._locate(site)
+        return node, site
 
     # -- accounting ----------------------------------------------------------
 
     @property
     def stats(self) -> ChannelStats:
-        """Merged counters: every shard channel plus the root channel."""
+        """Merged counters over every node's channel."""
         return self.channel.stats
 
     def shard_stats(self) -> List[ChannelStats]:
-        """Per-shard snapshots of the shard-local communication counters."""
-        return [shard.stats.snapshot() for shard in self.shards]
+        """Per-shard snapshots: each root child's whole subtree, merged."""
+        out: List[ChannelStats] = []
+        start = 0
+        for index, row in enumerate(self._post):
+            if row.parent is self._root:
+                out.append(
+                    ChannelStats.merge(
+                        node.network.stats for node in self._post[start:index + 1]
+                    )
+                )
+                start = index + 1
+        return out
 
     @property
     def local_stats(self) -> ChannelStats:
-        """Merged shard-local counters, excluding the root channel."""
-        return ChannelStats.merge(shard.stats for shard in self.shards)
+        """Merged counters of every channel below the root."""
+        return ChannelStats.merge(row.network.stats for row in self._post[:-1])
 
     @property
     def root_stats(self) -> ChannelStats:
-        """Counters of the shard-to-root channel (zero in flat topology)."""
-        if self.root_network is None:
-            return ChannelStats()
+        """Counters of the root aggregator's channel."""
         return self.root_network.stats.snapshot()
 
     def level_stats(self) -> List[ChannelStats]:
         """Per-level channel counters, root level first, leaf level last.
 
-        Index 0 is this network's own aggregator channel (absent in the
-        single-shard degenerate), deeper indices merge the channels of every
-        node at that depth; the last entry merges the leaf shards' local
-        channels.  Summing the list reproduces :attr:`stats` exactly.
+        Entry ``d`` merges the channels of every node at depth ``d``, left
+        to right.  Summing the list reproduces :attr:`stats` exactly.
         """
-        child_levels: List[List[ChannelStats]] = []
-        for shard in self.shards:
-            inner = shard.network
-            if isinstance(inner, ShardedNetwork):
-                child_levels.append(inner.level_stats())
-            else:
-                child_levels.append([inner.stats.snapshot()])
-        depth = max(len(levels) for levels in child_levels)
-        merged = [
-            ChannelStats.merge(
-                levels[d] for levels in child_levels if d < len(levels)
-            )
-            for d in range(depth)
+        return [
+            ChannelStats.merge(row.network.stats for row in rows)
+            for rows in self._levels
         ]
-        if self.root_network is not None:
-            merged.insert(0, self.root_network.stats.snapshot())
-        return merged
 
     def level_summary(self) -> List[dict]:
         """Per-level accounting as JSON-compatible dicts, root level first.
@@ -750,175 +708,125 @@ class ShardedNetwork:
         error budget's traffic effect is visible per level in
         ``result.summary()``.
         """
-        stats = self.level_stats()
-        meta = self._level_meta()
         out = []
-        for depth, (level_stats, level_meta) in enumerate(zip(stats, meta)):
+        for depth, (rows, stats) in enumerate(zip(self._levels, self.level_stats())):
             entry = {
                 "level": depth,
-                "messages": level_stats.messages,
-                "bits": level_stats.bits,
-                "messages_by_kind": dict(level_stats.by_kind),
+                "messages": stats.messages,
+                "bits": stats.bits,
+                "messages_by_kind": dict(stats.by_kind),
             }
-            entry.update(level_meta)
+            if rows[0].children:
+                children = [child for row in rows for child in row.children]
+                entry.update(
+                    role="aggregate",
+                    nodes=len(rows),
+                    pushes=sum(child.pushes for child in children),
+                    pushes_suppressed=sum(
+                        child.pushes_suppressed for child in children
+                    ),
+                    broadcasts_suppressed=sum(
+                        getattr(row.coordinator, "broadcasts_suppressed", 0)
+                        for row in rows
+                    ),
+                )
+            else:
+                entry.update(role="leaf", nodes=len(rows))
             out.append(entry)
         return out
-
-    def _level_meta(self) -> List[dict]:
-        """Role and push/broadcast counters per level, aligned with level_stats."""
-        child_meta: List[List[dict]] = []
-        for shard in self.shards:
-            inner = shard.network
-            if isinstance(inner, ShardedNetwork):
-                child_meta.append(inner._level_meta())
-            else:
-                child_meta.append([{"role": "leaf", "nodes": 1}])
-        depth = max(len(meta) for meta in child_meta)
-        merged: List[dict] = []
-        for d in range(depth):
-            entries = [meta[d] for meta in child_meta if d < len(meta)]
-            combined = dict(entries[0])
-            for entry in entries[1:]:
-                for key, value in entry.items():
-                    if key == "role":
-                        continue
-                    combined[key] = combined.get(key, 0) + value
-            merged.append(combined)
-        if self.root_network is not None:
-            aggregator = self.root_network.coordinator
-            merged.insert(
-                0,
-                {
-                    "role": "aggregate",
-                    "nodes": 1,
-                    "pushes": sum(s.pushes for s in self.shards),
-                    "pushes_suppressed": sum(
-                        s.pushes_suppressed for s in self.shards
-                    ),
-                    "broadcasts_suppressed": getattr(
-                        aggregator, "broadcasts_suppressed", 0
-                    ),
-                },
-            )
-        return merged
 
     # -- delivery ------------------------------------------------------------
 
     def deliver_update(self, time: int, site_id: int, delta: int) -> None:
-        """Route one stream update to its owning shard, then sync the root.
-
-        A nested shard's inner :class:`ShardedNetwork` routes again with the
-        shard-local id, so the update descends the tree to its leaf and every
-        aggregator on the path sees a (deadband-filtered) push afterwards.
-        """
-        shard, local_id = self._locate(site_id)
-        shard.network.deliver_update(time, local_id, delta)
-        if self.root_network is not None:
-            shard.push_estimate(time)
-        if self.wrapper is None:
-            self._site_values[site_id] += int(delta)
-            self._site_counts[site_id] += 1
+        """Route one stream update down to its leaf, then push bottom-up."""
+        row, local_id = self._leaf(site_id)
+        row.network.deliver_update(time, local_id, delta)
+        while row.parent is not None:
+            row.push_estimate(time)
+            row = row.parent
+        self._site_values[site_id] += int(delta)
+        self._site_counts[site_id] += 1
 
     def deliver_batch(
         self, site_id: int, times: Sequence[int], deltas: Sequence[int]
     ) -> None:
-        """Route a contiguous same-site run to its shard, then sync the root."""
-        shard, local_id = self._locate(site_id)
-        shard.network.deliver_batch(local_id, times, deltas)
-        if self.root_network is not None and len(times):
-            shard.push_estimate(int(times[-1]))
-        if self.wrapper is None and len(times):
+        """Route a contiguous same-site run to its leaf, then push bottom-up."""
+        row, local_id = self._leaf(site_id)
+        row.network.deliver_batch(local_id, times, deltas)
+        if len(times):
+            time = int(times[-1])
+            while row.parent is not None:
+                row.push_estimate(time)
+                row = row.parent
             total = deltas.sum() if hasattr(deltas, "sum") else sum(deltas)
             self._site_values[site_id] += int(total)
             self._site_counts[site_id] += len(deltas)
 
     def estimate(self) -> float:
-        """The hierarchy's estimate: the root's merged view (flat: shard 0)."""
-        if self.root_network is None:
-            return self.shards[0].estimate()
+        """The tree's estimate: the root aggregator's merged view."""
         return self.root_network.estimate()
 
     # -- asynchronous driving (see repro.asynchrony.runner) ------------------
 
     def advance_to(self, until: float) -> None:
-        """Advance every clock to ``until``, then push fresh shard estimates.
+        """Advance every clock to ``until`` and push fresh estimates.
 
-        The root channel advances *before* the pushes so its clock sits at
-        the window frontier when a push is transmitted: an estimate formed by
-        a shard delivery inside the window is pushed at ``until`` (at or
-        after the moment it came to exist), never back-dated to the previous
-        advance point — the root cannot receive knowledge before the shard
-        had it.  Requires latency-aware channels at both levels
+        A depth-first walk of the tree: each row advances its clock before
+        its subtree's (pre-order) and pushes its estimate after it
+        (post-order).  A parent's clock therefore sits at the window
+        frontier before its children push: an estimate formed by a delivery
+        inside the window is pushed at ``until`` (at or after the moment it
+        came to exist), never back-dated to the previous advance point — a
+        parent cannot receive knowledge before its child had it.  Requires
+        latency-aware channels at every level
         (:func:`repro.asynchrony.async_channels`).
         """
-        if self.root_network is not None:
-            self.root_network.channel.advance_to(until)
-        for shard in self.shards:
-            inner = shard.network
-            if isinstance(inner, ShardedNetwork):
-                inner.advance_to(until)
-            else:
-                inner.channel.advance_to(until)
-            if self.root_network is not None:
-                shard.push_estimate(int(until))
+        _advance(self._root, until, int(until))
 
     def drain(self) -> float:
-        """Deliver every in-flight message at both levels; return the clock.
+        """Deliver every in-flight message at every level; return the clock.
 
-        Loops shard drains, estimate pushes and root drains until the whole
-        hierarchy is quiescent, so the root settles on the final merged
-        estimate once the last shard report lands.  As in :meth:`advance_to`,
-        the root clock is raised to the global frontier before each push
-        round, keeping the shard-to-root leg causal.
+        Each aggregator loops its children's drains, their estimate pushes
+        and its own drain until its subtree is quiescent, so the root
+        settles on the final merged estimate once the last report lands.
+        As in :meth:`advance_to`, an aggregator's clock is raised to its
+        subtree's frontier before each push round, keeping every upward leg
+        causal.
         """
-        while True:
-            for shard in self.shards:
-                inner = shard.network
-                if isinstance(inner, ShardedNetwork):
-                    inner.drain()
-                else:
-                    inner.channel.drain()
-            if self.root_network is not None:
-                self.root_network.channel.advance_to(self.channel.now)
-                for shard in self.shards:
-                    shard.push_estimate(int(self.channel.now))
-                self.root_network.channel.drain()
-            if self.channel.in_flight == 0:
-                return self.channel.now
+        return _now(_drain(self._root))
 
 
-def build_sharded_network(
-    factory,
-    num_shards: int,
-    sharding: Optional[ShardingPolicy] = None,
-    channel_factory=None,
-) -> ShardedNetwork:
-    """Build the two-level sharded hierarchy: ``fanouts=[num_shards]``.
+def _post_order(
+    row: ShardCoordinator, out: List[ShardCoordinator]
+) -> List[ShardCoordinator]:
+    """Append ``row``'s subtree to ``out``, children before parents."""
+    for child in row.children:
+        _post_order(child, out)
+    out.append(row)
+    return out
 
-    The legacy entry point, kept as the reference wiring the equivalence
-    suites compare against.  Above one shard it is exactly
-    :func:`repro.monitoring.tree.build_tree_network` with
-    ``fanouts=[num_shards]``; one shard wraps the flat network in a single
-    :class:`ShardCoordinator` with no root hop, bit-for-bit the flat
-    topology.  ``channel_factory`` is the tree builder's transport argument
-    (for one shard, only its flat level-0 channel is asked for).
-    """
-    # Imported lazily: the tree module builds on this one.
-    from repro.monitoring.tree import build_tree_network
 
-    if num_shards != 1:
-        return build_tree_network(
-            factory,
-            fanouts=[num_shards],
-            sharding=sharding,
-            channel_factory=channel_factory,
-        )
-    base = build_tree_network(factory, fanouts=[], channel_factory=channel_factory)
-    policy = sharding if sharding is not None else ContiguousSharding()
-    groups = policy.partition(base.num_sites, 1)
-    if len(groups) != 1 or not groups[0]:
-        raise ConfigurationError(
-            f"sharding policy returned {len(groups)} groups (some possibly "
-            "empty) for 1 shard"
-        )
-    return ShardedNetwork([ShardCoordinator(0, base, groups[0])], None)
+def _advance(row: ShardCoordinator, until: float, time: int) -> None:
+    """Advance ``row``'s subtree to ``until``; each child pushes after its own."""
+    row.network.channel.advance_to(until)
+    for child in row.children:
+        _advance(child, until, time)
+        child.push_estimate(time)
+
+
+def _drain(row: ShardCoordinator) -> List[Channel]:
+    """Drain ``row``'s subtree until quiescent; return its channels."""
+    channel = row.network.channel
+    if not row.children:
+        channel.drain()
+        return [channel]
+    while True:
+        channels = [ch for child in row.children for ch in _drain(child)]
+        channels.append(channel)
+        now = _now(channels)
+        channel.advance_to(now)
+        for child in row.children:
+            child.push_estimate(int(now))
+        channel.drain()
+        if _in_flight(channels) == 0:
+            return channels

@@ -1,19 +1,19 @@
 """Recursive L-level monitoring trees with a split error budget.
 
 This module is the topology layer above :mod:`repro.monitoring.sharding`:
-it composes :class:`~repro.monitoring.sharding.ShardedNetwork` levels
-recursively into a tree of any depth, splits the error budget ``eps``
-across the levels, and supports *live migration* of a site between leaf
-shards with an exact state handoff.
+it builds a tree of any depth as one table of node rows, splits the error
+budget ``eps`` across the levels, and supports *live migration* of a site
+between leaf shards with an exact state handoff.
 
 Topology
     :func:`build_tree_network` is the one network builder.  It takes
-    per-level fan-outs (top-down) and builds aggregators over aggregators
-    until the leaves, each leaf an unmodified flat tracker over its site
-    group; no fan-outs is the flat star, and a two-level tree with fan-out
-    ``S`` constructs exactly the legacy ``num_shards = S`` hierarchy, so
-    :func:`repro.monitoring.sharding.build_sharded_network` is one call
-    here.  The transport is the ``channel_factory`` argument alone
+    per-level fan-outs (top-down) and builds, in one depth-first pass, the
+    node table of a single
+    :class:`~repro.monitoring.sharding.ShardedNetwork`: aggregators over
+    aggregators until the leaves, each leaf an unmodified flat tracker over
+    its site group.  No fan-outs is the flat star itself, and ``fanouts=[S]``
+    is the two-level sharded hierarchy.  The transport is the
+    ``channel_factory`` argument alone
     (:func:`repro.asynchrony.async_channels` for latency and loss).
 
 Error budget
@@ -36,8 +36,8 @@ Migration
     channels plus one state-transfer hop per aggregator level between the
     leaves), **re-register** (both leaves are rebuilt around the new
     membership via the tracker factory's ``bootstrap_network`` hook, their
-    channels adopting the old cumulative accounting, and the routing tables
-    of every ancestor are rewired).  From the handoff point onward the
+    channels adopting the old cumulative accounting, and the routing of
+    every aggregator row is rewired).  From the handoff point onward the
     destination shard behaves exactly as a freshly bootstrapped network over
     its new group — pinned by ``tests/test_migration.py``.
 """
@@ -245,15 +245,6 @@ def resolve_fanouts(
     return resolved
 
 
-def _on_channel(
-    network: MonitoringNetwork, channel: Optional[Channel]
-) -> MonitoringNetwork:
-    """``network``'s actors re-wired onto ``channel`` (``None`` keeps its own)."""
-    if channel is None:
-        return network
-    return MonitoringNetwork(network.coordinator, network.sites, channel=channel)
-
-
 @dataclass
 class _TreeRecipe:
     """Everything needed to rebuild one leaf of a tree during migration."""
@@ -283,7 +274,14 @@ class _TreeRecipe:
             if self.channel_factory is not None
             else None
         )
-        return _on_channel(sub_factory.build_network(), channel), sub_factory
+        return _build_flat(sub_factory, channel), sub_factory
+
+
+def _build_flat(factory, channel: Optional[Channel]) -> MonitoringNetwork:
+    """``factory.build_network()``, handing in ``channel`` only when injected."""
+    if channel is None:
+        return factory.build_network()
+    return factory.build_network(channel=channel)
 
 
 def build_tree_network(
@@ -300,8 +298,8 @@ def build_tree_network(
     """Build a monitoring network of any shape from a flat tracker factory.
 
     The one network builder: ``fanouts=[]`` (or ``levels=1``) is the flat
-    star ``factory.build_network()``, ``fanouts=[S]`` the legacy two-level
-    sharded hierarchy, and deeper lists L-level trees.  The factory's ``k``
+    star ``factory.build_network()``, ``fanouts=[S]`` the two-level sharded
+    hierarchy, and deeper lists L-level trees.  The factory's ``k``
     sites are partitioned top-down: the root level splits them into
     ``fanouts[0]`` groups, each group is split again by the next fan-out,
     and so on; the final groups become leaf shards running an unmodified
@@ -310,10 +308,11 @@ def build_tree_network(
     share of the error budget.  Every aggregation node is a
     :class:`~repro.monitoring.sharding.RootAggregator` over its children's
     uplinks — a subtree is a :class:`~repro.monitoring.sharding.Site` of its
-    parent at any depth.  Every node is built here, but no site: a leaf
-    from a factory that builds sites on first touch builds only the sites
-    its traffic reaches, so under contiguous partitions a tree over ``k``
-    sites costs O(nodes), not O(k), to build.
+    parent at any depth.  Each node becomes one row of the returned
+    network's table, in one depth-first pass.  Every node is built here,
+    but no site: a leaf from a factory that builds sites on first touch
+    builds only the sites its traffic reaches, so under contiguous
+    partitions a tree over ``k`` sites costs O(nodes), not O(k), to build.
 
     Args:
         factory: Flat tracker factory exposing ``num_sites``, ``epsilon``
@@ -336,10 +335,15 @@ def build_tree_network(
             level 0) and ``position`` its left-to-right index within its
             level.  ``None`` (or a ``None`` return) keeps the default
             synchronous channel; :func:`repro.asynchrony.async_channels`
-            builds the latency-aware and lossy ones.
+            builds the latency-aware and lossy ones.  A factory carrying a
+            ``fanouts`` attribute (as ``async_channels``' does) must have
+            been made for this tree's fan-outs.  An injected channel reaches
+            a flat network through ``factory.build_network(channel=...)``
+            (a leaf's through its shard factory's); without one,
+            ``build_network()`` is called with no argument.
 
     Returns:
-        The top-level :class:`~repro.monitoring.sharding.ShardedNetwork`,
+        The tree's one :class:`~repro.monitoring.sharding.ShardedNetwork`,
         with the build recipe attached for live migration, or the flat
         ``MonitoringNetwork`` when the shape resolves to one level.
     """
@@ -349,11 +353,17 @@ def build_tree_network(
             "build_tree_network needs a tracker factory exposing num_sites"
         )
     resolved = resolve_fanouts(levels=levels, fanout=fanout, fanouts=fanouts)
+    declared = getattr(channel_factory, "fanouts", None)
+    if declared is not None and list(declared) != resolved:
+        raise ConfigurationError(
+            f"the channel factory was made for fanouts {list(declared)}, but "
+            f"the tree has fanouts {resolved}"
+        )
     if not resolved:
         channel = (
             channel_factory(0, 0, num_sites) if channel_factory is not None else None
         )
-        return _on_channel(factory.build_network(), channel)
+        return _build_flat(factory, channel)
     if getattr(factory, "shard_factory", None) is None:
         raise ConfigurationError(
             f"{type(factory).__name__} does not expose shard_factory(num_sites, "
@@ -377,43 +387,54 @@ def build_tree_network(
         channel_factory=channel_factory,
     )
 
-    def build_node(level: int, position: int, site_ids: Sequence[int]):
+    nodes: List[Optional[ShardCoordinator]] = []
+
+    def build_node(level: int, position: int, shard_id: int, site_ids: Sequence[int]):
         """Build the subtree rooted at (level, position) over ``site_ids``.
 
-        ``site_ids`` are ids in the *parent's* space; the node's own space
-        is positions ``0..len(site_ids)-1``.
+        The node's row takes its table slot on entry (pre-order) and is
+        filled in once its children exist.  ``site_ids`` are ids in the
+        *parent's* space; the node's own space is positions
+        ``0..len(site_ids)-1``.
         """
+        index = len(nodes)
+        nodes.append(None)
+        children: List[ShardCoordinator] = []
         if level == len(resolved):
-            return recipe.build_leaf(len(site_ids), position)[0]
-        fan = resolved[level]
-        groups = policy.partition(len(site_ids), fan)
-        if len(groups) != fan or any(not group for group in groups):
-            raise ConfigurationError(
-                f"sharding policy returned {len(groups)} groups (some "
-                f"possibly empty) for fan-out {fan}"
+            network = recipe.build_leaf(len(site_ids), position)[0]
+        else:
+            fan = resolved[level]
+            groups = policy.partition(len(site_ids), fan)
+            if len(groups) != fan or any(not group for group in groups):
+                raise ConfigurationError(
+                    f"sharding policy returned {len(groups)} groups (some "
+                    f"possibly empty) for fan-out {fan}"
+                )
+            for child_index, group in enumerate(groups):
+                child = build_node(
+                    level + 1, position * fan + child_index, child_index, group
+                )
+                child.push_deadband = budgets[level]
+                children.append(child)
+            aggregator = RootAggregator(
+                num_shards=fan,
+                num_sites=len(site_ids),
+                broadcast_deadband=float(broadcast_deadband),
             )
-        wrappers: List[ShardCoordinator] = []
-        for child_index, group in enumerate(groups):
-            child = build_node(level + 1, position * fan + child_index, group)
-            wrapper = ShardCoordinator(child_index, child, group)
-            wrapper.push_deadband = budgets[level]
-            wrappers.append(wrapper)
-        aggregator = RootAggregator(
-            num_shards=fan,
-            num_sites=len(site_ids),
-            broadcast_deadband=float(broadcast_deadband),
-        )
-        channel = (
-            channel_factory(level, position, fan)
-            if channel_factory is not None
-            else None
-        )
-        aggregator_network = MonitoringNetwork(
-            aggregator, [wrapper.uplink for wrapper in wrappers], channel=channel
-        )
-        return ShardedNetwork(wrappers, aggregator_network)
+            channel = (
+                channel_factory(level, position, fan)
+                if channel_factory is not None
+                else None
+            )
+            network = MonitoringNetwork(
+                aggregator, [child.uplink for child in children], channel=channel
+            )
+        row = ShardCoordinator(shard_id, network, site_ids, level, position, children)
+        nodes[index] = row
+        return row
 
-    network = build_node(0, 0, range(num_sites))
+    build_node(0, 0, 0, range(num_sites))
+    network = ShardedNetwork(nodes)
     network._tree_recipe = recipe
     return network
 
@@ -427,41 +448,22 @@ def leaf_groups(network: ShardedNetwork) -> List[List[int]]:
 
     The position of an id within its leaf's list is the site's leaf-local
     id, whatever partition policy (contiguous, strided, nested) produced the
-    placement — the composite global-to-leaf map is read off the routing
-    tables level by level.
+    placement — the composite global-to-leaf map is read off the rows'
+    site ids, parents before children.
     """
-
-    def descend(node, ids: List[int]) -> List[List[int]]:
-        groups: List[List[int]] = []
-        for shard in node.shards:
-            owned = [ids[position] for position in shard.site_ids]
-            if isinstance(shard.network, ShardedNetwork):
-                groups.extend(descend(shard.network, owned))
-            else:
-                groups.append(owned)
-        return groups
-
-    return descend(network, list(range(network.num_sites)))
+    owned: Dict[int, List[int]] = {id(network.nodes[0]): list(range(network.num_sites))}
+    for row in network.nodes[1:]:
+        ids = owned[id(row.parent)]
+        owned[id(row)] = [ids[position] for position in row.site_ids]
+    return [owned[id(leaf)] for leaf in network.leaves()]
 
 
-def _wrapper_chain(leaf: ShardCoordinator) -> List[ShardCoordinator]:
-    """The shard wrappers from ``leaf`` up to (and excluding) the top."""
-    chain = [leaf]
-    node = leaf.parent_network
-    while node is not None and node.wrapper is not None:
-        chain.append(node.wrapper)
-        node = node.wrapper.parent_network
-    return chain
-
-
-def _aggregator_networks(leaf: ShardCoordinator) -> List[ShardedNetwork]:
-    """Every hierarchy level above ``leaf`` that has an aggregator channel."""
+def _ancestors(row: ShardCoordinator) -> List[ShardCoordinator]:
+    """The rows above ``row``, parent first, up to and including the root."""
     out = []
-    node = leaf.parent_network
-    while node is not None:
-        if node.root_network is not None:
-            out.append(node)
-        node = None if node.wrapper is None else node.wrapper.parent_network
+    while row.parent is not None:
+        row = row.parent
+        out.append(row)
     return out
 
 
@@ -541,8 +543,7 @@ def migrate_site(
     same id; only the internal placement changes.
 
     Args:
-        network: The *top-level* tree, built by :func:`build_tree_network`
-            (or ``build_sharded_network``).
+        network: The tree, built by :func:`build_tree_network`.
         site_id: Global id of the site to move.
         dest_leaf: Destination leaf index (see
             :meth:`~repro.monitoring.sharding.ShardedNetwork.leaves`).
@@ -551,16 +552,15 @@ def migrate_site(
     Returns:
         A :class:`MigrationReport` with the handoff's accounted cost.
     """
-    if not isinstance(network, ShardedNetwork) or network.wrapper is not None:
+    if not isinstance(network, ShardedNetwork):
         raise ConfigurationError(
             "migrate_site operates on the top-level ShardedNetwork of a tree"
         )
     recipe: Optional[_TreeRecipe] = getattr(network, "_tree_recipe", None)
     if recipe is None:
         raise ConfigurationError(
-            "this network was not built by build_tree_network / "
-            "build_sharded_network; migration needs the build recipe to "
-            "rebuild the affected leaves"
+            "this network was not built by build_tree_network; migration "
+            "needs the build recipe to rebuild the affected leaves"
         )
     if network.channel.log_enabled:
         raise ProtocolError(
@@ -606,11 +606,11 @@ def migrate_site(
     # 2. Transfer: rebuild and bootstrap the two affected leaves, charging
     # the checkpoint exchange on their (adopted) channels.
     for leaf_index in (source_leaf, dest_leaf):
-        wrapper = leaves[leaf_index]
+        leaf = leaves[leaf_index]
         members = new_groups[leaf_index]
         values = [network._site_values[s] for s in members]
         counts = [network._site_counts[s] for s in members]
-        old_channel = wrapper.network.channel
+        old_channel = leaf.network.channel
         base, sub_factory = recipe.build_leaf(len(members), leaf_index)
         base.channel.adopt_accounting(old_channel)
         bootstrap = getattr(sub_factory, "bootstrap_network", None)
@@ -621,13 +621,15 @@ def migrate_site(
             )
         bootstrap(base, values, counts)
         _charge_checkpoint(ledger, base, values, counts, time)
-        wrapper.replace_network(base)
+        # The row survives the handoff (its uplink stays registered on the
+        # parent channel, its push counters keep counting); only its network
+        # is rebuilt, so the channel view is re-read right after.
+        leaf.network = base
+    network.channel.refresh()
 
     # One state-transfer message per aggregator level between the leaves.
-    crossed = {id(node): node for node in _aggregator_networks(leaves[source_leaf])}
-    crossed.update(
-        (id(node), node) for node in _aggregator_networks(leaves[dest_leaf])
-    )
+    crossed = {id(node): node for node in _ancestors(leaves[source_leaf])}
+    crossed.update((id(node), node) for node in _ancestors(leaves[dest_leaf]))
     transfer = Message(
         kind=MessageKind.REPORT,
         sender=leaves[source_leaf].shard_id,
@@ -639,21 +641,17 @@ def migrate_site(
         time=time,
     )
     for node in crossed.values():
-        ledger.charge(node.root_network.channel, transfer)
+        ledger.charge(node.network.channel, transfer)
 
     # 3. Re-register: rewire every ancestor's routing to the new membership
-    # and push fresh estimates up both affected paths.
+    # and push fresh estimates up both affected paths, deepest rows first.
     _rewire(network, new_groups)
     refreshed: Dict[int, ShardCoordinator] = {}
     for leaf in (leaves[source_leaf], leaves[dest_leaf]):
-        for wrapper in _wrapper_chain(leaf):
-            refreshed.setdefault(id(wrapper), wrapper)
-    for wrapper in sorted(
-        refreshed.values(), key=lambda w: -len(_wrapper_chain(w))
-    ):
-        parent = wrapper.parent_network
-        if parent is not None and parent.root_network is not None:
-            wrapper.push_estimate(time)
+        for row in [leaf] + _ancestors(leaf)[:-1]:
+            refreshed.setdefault(id(row), row)
+    for row in sorted(refreshed.values(), key=lambda row: -row.level):
+        row.push_estimate(time)
 
     report = MigrationReport(
         site_id=site_id,
@@ -728,48 +726,31 @@ def _rewire(network: ShardedNetwork, new_groups: List[List[int]]) -> None:
     Each node's id space is positional; after a migration the spaces are
     relabelled as the concatenation of the children's orderings (which
     preserves the composite global-to-leaf-local map for untouched leaves),
-    the routing tables and per-site bookkeeping are rebuilt, and every
-    aggregator's subtree site count is refreshed.
+    the routing of every aggregator row is rebuilt, and every aggregator's
+    subtree site count is refreshed.  Rows are visited children first.
     """
-
-    def count_leaves(node) -> int:
-        if not isinstance(node, ShardedNetwork):
-            return 1
-        return sum(count_leaves(shard.network) for shard in node.shards)
-
-    def apply(node: ShardedNetwork, groups: List[List[int]], top: bool) -> List[int]:
-        child_orders: List[List[int]] = []
-        cursor = 0
-        for shard in node.shards:
-            span = count_leaves(shard.network)
-            slice_groups = groups[cursor:cursor + span]
-            cursor += span
-            if isinstance(shard.network, ShardedNetwork):
-                child_orders.append(apply(shard.network, slice_groups, top=False))
-            else:
-                members = slice_groups[0]
-                if len(members) != shard.network.num_sites:
-                    raise ConfigurationError(
-                        f"leaf rebuild serves {shard.network.num_sites} sites "
-                        f"but the new membership lists {len(members)}"
-                    )
-                child_orders.append(list(members))
-        route = {}
+    orders: Dict[int, List[int]] = {}
+    for row in network._post:
+        if not row.children:
+            members = new_groups[row.position]
+            if len(members) != row.network.num_sites:
+                raise ConfigurationError(
+                    f"leaf rebuild serves {row.network.num_sites} sites "
+                    f"but the new membership lists {len(members)}"
+                )
+            orders[id(row)] = list(members)
+            continue
         offset = 0
-        for shard, order in zip(node.shards, child_orders):
-            ids = tuple(order) if top else tuple(
-                range(offset, offset + len(order))
+        for child in row.children:
+            order = orders[id(child)]
+            child.site_ids = (
+                tuple(order)
+                if row.parent is None
+                else tuple(range(offset, offset + len(order)))
             )
-            shard.site_ids = ids
-            for local_id, space_id in enumerate(ids):
-                route[space_id] = (shard, local_id)
             offset += len(order)
-        node._route = route
-        node._starts = None
-        node._stride = None
-        node._num_sites = offset
-        if node.root_network is not None:
-            node.root_network.coordinator.num_sites = offset
-        return [space_id for order in child_orders for space_id in order]
-
-    apply(network, new_groups, top=True)
+        row._route_children()
+        row.coordinator.num_sites = offset
+        orders[id(row)] = [
+            space_id for child in row.children for space_id in orders[id(child)]
+        ]

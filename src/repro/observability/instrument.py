@@ -23,10 +23,10 @@ reads coordinator state, while the hook-driven
 ``repro_block_closes_total`` counts real close rounds only.
 
 This module supplies the observers and the collector.
-:func:`instrument_network` walks any topology — flat
-:class:`MonitoringNetwork`, legacy two-level :class:`ShardedNetwork`, or an
-L-level tree — labelling series with the same root-first level index
-``result.summary()["levels"]`` uses.
+:func:`instrument_network` walks any topology — a flat
+:class:`MonitoringNetwork`, or the rows of a tree's one
+:class:`ShardedNetwork` — labelling series with the same root-first level
+index ``result.summary()["levels"]`` uses.
 
 A live migration rebuilds the two affected leaf networks; the fresh
 channels adopt the old ones' accounting *and observer*, while the fresh
@@ -37,7 +37,7 @@ therefore re-walks the tree after every handoff.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.metrics import level_message_shares, shard_imbalance
 from repro.analysis.staleness import summarize_staleness
@@ -54,31 +54,19 @@ __all__ = ["NetworkInstrumentation", "instrument_network"]
 AGE_BUCKETS = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
-def _walk(network, depth: int = 0) -> Iterator[Tuple[object, object, int]]:
-    """Yield ``(channel, coordinator, level)`` for every real node.
+def _walk(network) -> List[Tuple[object, object, int]]:
+    """``(channel, coordinator, level)`` for every node, root first.
 
     Levels are root-first, matching
-    :meth:`repro.monitoring.sharding.ShardedNetwork.level_summary`: a
-    network's own aggregator (when present) sits at ``depth`` and its
-    children one deeper; the single-shard degenerate adds no level.
+    :meth:`repro.monitoring.sharding.ShardedNetwork.level_summary`; a tree's
+    rows come in table (pre-order) order, and a flat network is one node at
+    level 0.
     """
     if isinstance(network, ShardedNetwork):
-        child_depth = depth
-        if network.root_network is not None:
-            yield (
-                network.root_network.channel,
-                network.root_network.coordinator,
-                depth,
-            )
-            child_depth = depth + 1
-        for shard in network.shards:
-            inner = shard.network
-            if isinstance(inner, ShardedNetwork):
-                yield from _walk(inner, child_depth)
-            else:
-                yield (inner.channel, inner.coordinator, child_depth)
-    else:
-        yield (network.channel, network.coordinator, depth)
+        return [
+            (row.network.channel, row.coordinator, row.level) for row in network.nodes
+        ]
+    return [(network.channel, network.coordinator, 0)]
 
 
 class _ChannelObserver:
@@ -413,14 +401,14 @@ class NetworkInstrumentation:
                 "repro_reordered_deliveries",
                 "Deliveries that arrived out of send order on their link.",
             ).set(staleness.reordered)
-        if isinstance(network, ShardedNetwork):
-            if network.num_shards > 1:
-                self.registry.gauge(
-                    "repro_shard_imbalance",
-                    "Hottest shard's message count over the mean "
-                    "(1.0 = balanced).",
-                ).set(shard_imbalance(network.shard_stats()))
-            shares = level_message_shares(network.level_summary())
+        level_summary = getattr(network, "level_summary", None)
+        if level_summary is not None:
+            self.registry.gauge(
+                "repro_shard_imbalance",
+                "Hottest shard's message count over the mean "
+                "(1.0 = balanced).",
+            ).set(shard_imbalance(network.shard_stats()))
+            shares = level_message_shares(level_summary())
             share_gauge = self.registry.gauge(
                 "repro_level_message_share",
                 "Each hierarchy level's fraction of total message traffic.",
@@ -438,10 +426,10 @@ def instrument_network(
     """Attach metrics (and optionally tracing) to a wired network.
 
     Works on any topology the runners drive: a flat
-    :class:`~repro.monitoring.network.MonitoringNetwork`, the legacy
-    two-level hierarchy, or an L-level tree, over synchronous or
-    asynchronous channels.  Returns the :class:`NetworkInstrumentation`,
-    whose ``registry`` renders Prometheus text via
+    :class:`~repro.monitoring.network.MonitoringNetwork` or a tree of any
+    depth, over synchronous or asynchronous channels.  Returns the
+    :class:`NetworkInstrumentation`, whose ``registry`` renders Prometheus
+    text via
     :meth:`~repro.observability.metrics.MetricsRegistry.render`.
     """
     return NetworkInstrumentation(registry=registry, trace=trace).attach(network)

@@ -292,10 +292,9 @@ class LiveTracker:
             }
             if isinstance(self.network, ShardedNetwork):
                 data["levels"] = self.network.level_summary()
-                if self.network.num_shards > 1:
-                    data["shard_imbalance"] = shard_imbalance(
-                        self.network.shard_stats()
-                    )
+                data["shard_imbalance"] = shard_imbalance(
+                    self.network.shard_stats()
+                )
             return data
 
 

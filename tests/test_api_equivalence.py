@@ -26,12 +26,11 @@ from repro.api import (
 from repro.asynchrony import (
     UniformLatency,
     ZERO_LATENCY,
-    build_async_network,
-    build_sharded_async_network,
+    async_channels,
     run_tracking_async,
 )
 from repro.core import DeterministicCounter, RandomizedCounter
-from repro.monitoring import build_sharded_network, run_tracking, run_tracking_arrays
+from repro.monitoring import build_tree_network, run_tracking, run_tracking_arrays
 from repro.streams import assign_sites, random_walk_stream
 from repro.streams.io import columns_from_updates, save_trace_csv, save_trace_npz
 
@@ -94,7 +93,7 @@ def test_spec_run_is_bit_for_bit_the_legacy_entry_point(
         network = (
             factory.build_network()
             if shards == 1
-            else build_sharded_network(factory, shards)
+            else build_tree_network(factory, fanouts=[shards])
         )
         legacy = run_tracking(
             network,
@@ -109,9 +108,17 @@ def test_spec_run_is_bit_for_bit_the_legacy_entry_point(
             else ZERO_LATENCY
         )
         network = (
-            build_async_network(factory, latency=model, seed=seed)
+            build_tree_network(
+                factory,
+                fanouts=[],
+                channel_factory=async_channels([], model, seed=seed),
+            )
             if shards == 1
-            else build_sharded_async_network(factory, shards, latency=model, seed=seed)
+            else build_tree_network(
+                factory,
+                fanouts=[shards],
+                channel_factory=async_channels([shards], model, seed=seed),
+            )
         )
         legacy = run_tracking_async(
             network, updates, record_every=record_every, batched=engine == "batched"
@@ -143,7 +150,10 @@ def test_arrays_spec_matches_run_tracking_arrays(tmp_path, fmt, shards):
     result = spec.run()
     factory = DeterministicCounter(SITES, EPSILON)
     network = (
-        factory.build_network() if shards == 1 else build_sharded_network(factory, shards)
+        factory.build_network() if shards == 1 else build_tree_network(
+            factory,
+            fanouts=[shards],
+        )
     )
     legacy = run_tracking_arrays(
         network, trace.times, trace.sites, trace.deltas, record_every=7

@@ -19,12 +19,13 @@ import pytest
 from repro.asynchrony import (
     ConstantLatency,
     UniformLatency,
-    build_async_network,
-    build_sharded_async_network,
+    ZERO_LATENCY,
+    async_channels,
     run_tracking_async,
 )
+from repro.api import RunSpec, SourceSpec, TopologySpec, TrackerSpec, TransportSpec
 from repro.core import DeterministicCounter, RandomizedCounter
-from repro.monitoring import run_tracking
+from repro.monitoring import build_tree_network, run_tracking
 from repro.monitoring.messages import COORDINATOR, Message, MessageKind
 from repro.streams import BlockedAssignment, assign_sites, random_walk_stream
 
@@ -56,7 +57,11 @@ class TestZeroLatencyBulkSpans:
             sync = run_tracking(
                 build().build_network(), updates, record_every=50, batched=True
             )
-            network = build_async_network(build(), latency=ConstantLatency(0.0))
+            network = build_tree_network(
+                build(),
+                fanouts=[],
+                channel_factory=async_channels([], ConstantLatency(0.0)),
+            )
             asynchronous = run_tracking_async(
                 network, updates, record_every=50, batched=True
             )
@@ -65,15 +70,25 @@ class TestZeroLatencyBulkSpans:
     def test_sharded_single_shard_matches_flat_bulk_engine(self):
         spec = random_walk_stream(4_000, seed=5)
         updates = assign_sites(spec, 4, BlockedAssignment(256))
-        for build in _factories(4):
+        trackers = [TrackerSpec("deterministic"), TrackerSpec("randomized", seed=9)]
+        for build, tracker in zip(_factories(4), trackers):
             flat = run_tracking_async(
-                build_async_network(build(), latency=ConstantLatency(0.0)),
+                build_tree_network(
+                    build(),
+                    fanouts=[],
+                    channel_factory=async_channels([], ConstantLatency(0.0)),
+                ),
                 updates,
                 record_every=40,
                 batched=True,
             )
             sharded = run_tracking_async(
-                build_sharded_async_network(build(), 1, latency=ConstantLatency(0.0)),
+                RunSpec(
+                    source=SourceSpec(sites=4),
+                    tracker=tracker,
+                    topology=TopologySpec(shards=1),
+                    transport=TransportSpec(mode="async"),
+                ).build_network(),
                 updates,
                 record_every=40,
                 batched=True,
@@ -86,10 +101,18 @@ class TestZeroLatencyBulkSpans:
         updates = assign_sites(spec, 2, BlockedAssignment(128))
         for build in _factories(2):
             per_update = run_tracking_async(
-                build_async_network(build()), updates, record_every=25
+                build_tree_network(
+                    build(),
+                    fanouts=[],
+                    channel_factory=async_channels([], ZERO_LATENCY),
+                ), updates, record_every=25
             )
             batched = run_tracking_async(
-                build_async_network(build()), updates, record_every=25, batched=True
+                build_tree_network(
+                    build(),
+                    fanouts=[],
+                    channel_factory=async_channels([], ZERO_LATENCY),
+                ), updates, record_every=25, batched=True
             )
             assert _fingerprint(per_update) == _fingerprint(batched)
 
@@ -99,15 +122,18 @@ class TestLatencyBulkSpans:
         spec = random_walk_stream(12_000, seed=3)
         updates = assign_sites(spec, 8, BlockedAssignment(512))
         if shards > 1:
-            network = build_sharded_async_network(
+            network = build_tree_network(
                 DeterministicCounter(8, 0.1),
-                shards,
-                latency=UniformLatency(2.0, 6.0),
-                seed=1,
+                fanouts=[shards],
+                channel_factory=async_channels(
+                    [shards], UniformLatency(2.0, 6.0), seed=1
+                ),
             )
         else:
-            network = build_async_network(
-                DeterministicCounter(8, 0.1), latency=UniformLatency(2.0, 6.0), seed=1
+            network = build_tree_network(
+                DeterministicCounter(8, 0.1),
+                fanouts=[],
+                channel_factory=async_channels([], UniformLatency(2.0, 6.0), seed=1),
             )
         result = run_tracking_async(
             network, updates, record_every=500, batched=batched
@@ -136,8 +162,10 @@ class TestLatencyBulkSpans:
 
 class TestPrepaidScheduling:
     def test_prepaid_send_charges_nothing(self):
-        network = build_async_network(
-            DeterministicCounter(2, 0.1), latency=ConstantLatency(1.5)
+        network = build_tree_network(
+            DeterministicCounter(2, 0.1),
+            fanouts=[],
+            channel_factory=async_channels([], ConstantLatency(1.5)),
         )
         channel = network.channel
         before = channel.stats.snapshot()
@@ -162,8 +190,10 @@ class TestPrepaidScheduling:
         """An aggregate crossing the trigger when it lands still closes the
         block through the ordinary receive path — the property that keeps
         bulk spans sound when other sites' reports arrive first."""
-        network = build_async_network(
-            DeterministicCounter(2, 0.1), latency=ConstantLatency(1.5)
+        network = build_tree_network(
+            DeterministicCounter(2, 0.1),
+            fanouts=[],
+            channel_factory=async_channels([], ConstantLatency(1.5)),
         )
         channel = network.channel
         channel.send_prepaid_to_coordinator(
@@ -180,7 +210,11 @@ class TestPrepaidScheduling:
         assert network.coordinator.reported_updates == 0
 
     def test_channel_advertises_span_scheduling(self):
-        network = build_async_network(DeterministicCounter(2, 0.1))
+        network = build_tree_network(
+            DeterministicCounter(2, 0.1),
+            fanouts=[],
+            channel_factory=async_channels([], ZERO_LATENCY),
+        )
         assert network.channel.supports_span_events
         sync_network = DeterministicCounter(2, 0.1).build_network()
         assert not getattr(sync_network.channel, "supports_span_events", False)

@@ -12,10 +12,15 @@ the latency experiments would not be anchored to the paper's model.
 
 import pytest
 
-from repro.asynchrony import ConstantLatency, build_async_network, run_tracking_async
+from repro.asynchrony import (
+    ConstantLatency,
+    ZERO_LATENCY,
+    async_channels,
+    run_tracking_async,
+)
 from repro.baselines import CormodeCounter, HuangCounter, LiuStyleCounter, NaiveCounter
 from repro.core import DeterministicCounter, RandomizedCounter
-from repro.monitoring import run_tracking
+from repro.monitoring import build_tree_network, run_tracking
 from repro.streams import (
     BlockedAssignment,
     RoundRobinAssignment,
@@ -68,8 +73,10 @@ def _run_both(factory_builder, updates, record_every):
     sync_network = factory_builder().build_network()
     sync_network.channel.enable_log()
     sync = run_tracking(sync_network, updates, record_every=record_every)
-    async_network = build_async_network(
-        factory_builder(), latency=ConstantLatency(0.0), seed=0
+    async_network = build_tree_network(
+        factory_builder(),
+        fanouts=[],
+        channel_factory=async_channels([], ConstantLatency(0.0), seed=0),
     )
     async_network.channel.enable_log()
     asynchronous = run_tracking_async(
@@ -116,7 +123,11 @@ class TestZeroLatencyEquivalence:
     def test_zero_latency_queue_never_used(self):
         """Inline delivery means nothing is ever scheduled: age 0, no backlog."""
         updates = assign_sites(random_walk_stream(800, seed=7), 2)
-        network = build_async_network(DeterministicCounter(2, 0.1))
+        network = build_tree_network(
+            DeterministicCounter(2, 0.1),
+            fanouts=[],
+            channel_factory=async_channels([], ZERO_LATENCY),
+        )
         result = run_tracking_async(network, updates)
         assert result.staleness.inflight_highwater == 0
         assert result.staleness.max_age == 0.0
@@ -137,7 +148,11 @@ class TestZeroLatencyEquivalence:
     def test_generator_input(self):
         spec = random_walk_stream(500, seed=8)
         updates = assign_sites(spec, 2)
-        network = build_async_network(DeterministicCounter(2, 0.1))
+        network = build_tree_network(
+            DeterministicCounter(2, 0.1),
+            fanouts=[],
+            channel_factory=async_channels([], ZERO_LATENCY),
+        )
         lazy = run_tracking_async(network, (u for u in updates), record_every=10)
         reference = DeterministicCounter(2, 0.1).track(
             updates, record_every=10, batched=False
@@ -145,7 +160,11 @@ class TestZeroLatencyEquivalence:
         assert _fingerprint(lazy) == _fingerprint(reference)
 
     def test_empty_stream(self):
-        network = build_async_network(NaiveCounter(1))
+        network = build_tree_network(
+            NaiveCounter(1),
+            fanouts=[],
+            channel_factory=async_channels([], ZERO_LATENCY),
+        )
         result = run_tracking_async(network, iter(()))
         assert result.records == []
         assert result.total_messages == 0

@@ -16,7 +16,8 @@ from repro.asynchrony import (
     EventScheduler,
     HeavyTailLatency,
     UniformLatency,
-    build_async_network,
+    ZERO_LATENCY,
+    async_channels,
     run_tracking_async,
 )
 from repro.analysis.staleness import (
@@ -29,7 +30,7 @@ from repro.baselines import CormodeCounter, NaiveCounter
 from repro.cli import main
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.exceptions import ConfigurationError, ProtocolError
-from repro.monitoring import run_tracking
+from repro.monitoring import build_tree_network, run_tracking
 from repro.monitoring.messages import BROADCAST_SITE, COORDINATOR, Message, MessageKind
 from repro.streams import assign_sites, monotone_stream, random_walk_stream
 from repro.types import EstimateRecord
@@ -263,23 +264,31 @@ class TestAsyncRunner:
     def test_sync_runner_rejects_async_network(self):
         """run_tracking must refuse async networks instead of silently
         charging messages that are never delivered."""
-        network = build_async_network(
-            DeterministicCounter(2, 0.1), latency=ConstantLatency(5.0)
+        network = build_tree_network(
+            DeterministicCounter(2, 0.1),
+            fanouts=[],
+            channel_factory=async_channels([], ConstantLatency(5.0)),
         )
         updates = assign_sites(random_walk_stream(10, seed=0), 2)
         with pytest.raises(ProtocolError, match="run_tracking_async"):
             run_tracking(network, updates)
 
     def test_rejects_bad_record_every(self):
-        network = build_async_network(NaiveCounter(1))
+        network = build_tree_network(
+            NaiveCounter(1),
+            fanouts=[],
+            channel_factory=async_channels([], ZERO_LATENCY),
+        )
         with pytest.raises(ValueError):
             run_tracking_async(network, [], record_every=0)
 
     def test_naive_tracker_settles_exactly_after_drain(self):
         """Every update eventually arrives, so the drained naive count is exact."""
         updates = assign_sites(random_walk_stream(400, seed=2), 2)
-        network = build_async_network(
-            NaiveCounter(2), latency=UniformLatency(3.0, 30.0), seed=4
+        network = build_tree_network(
+            NaiveCounter(2),
+            fanouts=[],
+            channel_factory=async_channels([], UniformLatency(3.0, 30.0), seed=4),
         )
         result = run_tracking_async(network, updates)
         assert result.settled_error() == 0.0
@@ -289,7 +298,11 @@ class TestAsyncRunner:
     def test_records_show_stale_estimates(self):
         """With delivery slower than the stream, recorded estimates lag the truth."""
         updates = assign_sites(monotone_stream(300), 1)
-        network = build_async_network(NaiveCounter(1), latency=ConstantLatency(50.0))
+        network = build_tree_network(
+            NaiveCounter(1),
+            fanouts=[],
+            channel_factory=async_channels([], ConstantLatency(50.0)),
+        )
         result = run_tracking_async(network, updates)
         mid = result.records[150]
         assert mid.estimate == mid.true_value - 50.0  # exactly the in-flight window
@@ -297,7 +310,11 @@ class TestAsyncRunner:
 
     def test_drain_disabled_leaves_backlog(self):
         updates = assign_sites(monotone_stream(100), 1)
-        network = build_async_network(NaiveCounter(1), latency=ConstantLatency(1000.0))
+        network = build_tree_network(
+            NaiveCounter(1),
+            fanouts=[],
+            channel_factory=async_channels([], ConstantLatency(1000.0)),
+        )
         result = run_tracking_async(network, updates, drain=False)
         assert network.channel.in_flight == 100
         assert result.final_estimate == 0.0
@@ -305,8 +322,10 @@ class TestAsyncRunner:
 
     def test_block_protocol_completes_under_latency(self):
         updates = assign_sites(random_walk_stream(5_000, seed=3), 4)
-        network = build_async_network(
-            DeterministicCounter(4, 0.1), latency=UniformLatency(2.0, 20.0), seed=1
+        network = build_tree_network(
+            DeterministicCounter(4, 0.1),
+            fanouts=[],
+            channel_factory=async_channels([], UniformLatency(2.0, 20.0), seed=1),
         )
         result = run_tracking_async(network, updates, record_every=50)
         assert network.coordinator.blocks_completed > 0
@@ -315,8 +334,10 @@ class TestAsyncRunner:
 
     def test_round_protocol_completes_under_latency(self):
         updates = assign_sites(monotone_stream(5_000), 4)
-        network = build_async_network(
-            CormodeCounter(4, 0.1), latency=UniformLatency(2.0, 20.0), seed=1
+        network = build_tree_network(
+            CormodeCounter(4, 0.1),
+            fanouts=[],
+            channel_factory=async_channels([], UniformLatency(2.0, 20.0), seed=1),
         )
         result = run_tracking_async(network, updates, record_every=50)
         assert network.coordinator.rounds_completed > 0
@@ -326,10 +347,12 @@ class TestAsyncRunner:
         updates = assign_sites(random_walk_stream(2_000, seed=5), 4)
 
         def run():
-            network = build_async_network(
+            network = build_tree_network(
                 RandomizedCounter(4, 0.1, seed=9),
-                latency=HeavyTailLatency(5.0, alpha=1.3, cap=200.0),
-                seed=17,
+                fanouts=[],
+                channel_factory=async_channels(
+                    [], HeavyTailLatency(5.0, alpha=1.3, cap=200.0), seed=17
+                ),
             )
             result = run_tracking_async(network, updates, record_every=25)
             return (
@@ -343,7 +366,11 @@ class TestAsyncRunner:
     def test_batched_engine_refuses_fast_path_on_async_channel(self):
         """deliver_batch over an async channel falls back to exact per-update replay."""
         updates = assign_sites(random_walk_stream(600, seed=6), 1)
-        network = build_async_network(DeterministicCounter(1, 0.1))
+        network = build_tree_network(
+            DeterministicCounter(1, 0.1),
+            fanouts=[],
+            channel_factory=async_channels([], ZERO_LATENCY),
+        )
         network.deliver_batch(0, [u.time for u in updates], [u.delta for u in updates])
         reference = DeterministicCounter(1, 0.1).build_network()
         for update in updates:

@@ -20,12 +20,12 @@ baseline.
 
 import pytest
 
-from repro.asynchrony import UniformLatency, build_async_network, run_tracking_async
+from repro.asynchrony import UniformLatency, async_channels, run_tracking_async
 from repro.baselines import NaiveCounter
 from repro.core import DeterministicCounter
 from repro.exceptions import ConfigurationError
 from repro.faults import FaultPlan, enable_close_repair
-from repro.monitoring import build_sharded_network, build_tree_network, run_tracking
+from repro.monitoring import build_tree_network, run_tracking
 from repro.streams import (
     RoundRobinAssignment,
     assign_sites,
@@ -50,7 +50,7 @@ class TestEnableCloseRepair:
         assert all(site.repair_closes for site in network.sites)
 
     def test_flags_sharded_leaves_only(self):
-        network = build_sharded_network(DeterministicCounter(6, EPSILON), 3)
+        network = build_tree_network(DeterministicCounter(6, EPSILON), fanouts=[3])
         flagged = enable_close_repair(network)
         # Three leaf networks of (2 sites + 1 coordinator) each; the root
         # aggregator exchanges no close protocol and stays naive.
@@ -92,11 +92,15 @@ class TestSynchronousConservatism:
 
 class TestLossyEffectiveness:
     def _run(self, loss, repair):
-        network = build_async_network(
+        network = build_tree_network(
             DeterministicCounter(NUM_SITES, EPSILON),
-            latency=UniformLatency(0.1, 1.0),
-            seed=3,
-            faults=FaultPlan(loss=loss, seed=5) if loss else None,
+            fanouts=[],
+            channel_factory=async_channels(
+                [],
+                UniformLatency(0.1, 1.0),
+                seed=3,
+                faults=FaultPlan(loss=loss, seed=5) if loss else None,
+            ),
         )
         if repair:
             enable_close_repair(network)
@@ -124,27 +128,28 @@ class TestLossyEffectiveness:
 class TestRepairOnHierarchies:
     @pytest.mark.parametrize("topology", ["shards", "tree"])
     def test_repaired_hierarchy_runs_clean_under_loss(self, topology):
-        from repro.asynchrony import (
-            build_sharded_async_network,
-            build_tree_async_network,
-        )
-
         if topology == "shards":
-            network = build_sharded_async_network(
+            network = build_tree_network(
                 DeterministicCounter(6, EPSILON),
-                3,
-                latency=UniformLatency(0.1, 1.0),
-                seed=2,
-                faults=FaultPlan(loss=0.1, seed=4),
+                fanouts=[3],
+                channel_factory=async_channels(
+                    [3],
+                    UniformLatency(0.1, 1.0),
+                    seed=2,
+                    faults=FaultPlan(loss=0.1, seed=4),
+                ),
             )
         else:
-            network = build_tree_async_network(
+            network = build_tree_network(
                 DeterministicCounter(8, EPSILON),
                 levels=3,
                 fanout=2,
-                latency=UniformLatency(0.1, 1.0),
-                seed=2,
-                faults=FaultPlan(loss=0.1, seed=4),
+                channel_factory=async_channels(
+                    [2, 2],
+                    UniformLatency(0.1, 1.0),
+                    seed=2,
+                    faults=FaultPlan(loss=0.1, seed=4),
+                ),
             )
         enable_close_repair(network)
         k = 6 if topology == "shards" else 8

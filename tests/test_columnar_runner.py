@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.exceptions import ProtocolError, StreamError
-from repro.monitoring import build_sharded_network, run_tracking, run_tracking_arrays
+from repro.monitoring import build_tree_network, run_tracking, run_tracking_arrays
 from repro.streams import (
     BlockedAssignment,
     SkewedAssignment,
@@ -138,14 +138,14 @@ class TestRunTrackingArrays:
         updates = assign_sites(random_walk_stream(1_000, seed=13), 6, BlockedAssignment(32))
         columns = columns_from_updates(updates)
         sharded = run_tracking_arrays(
-            build_sharded_network(DeterministicCounter(6, 0.1), 3),
+            build_tree_network(DeterministicCounter(6, 0.1), fanouts=[3]),
             columns.times,
             columns.sites,
             columns.deltas,
             record_every=25,
         )
         flat = run_tracking(
-            build_sharded_network(DeterministicCounter(6, 0.1), 3),
+            build_tree_network(DeterministicCounter(6, 0.1), fanouts=[3]),
             updates,
             record_every=25,
             batched=True,

@@ -190,8 +190,31 @@ def _path_crossing_at(length, hit, threshold):
     )
 
 
+def _path_returning_then_crossing(position, threshold, tail=40):
+    """From 0 at ``position``: up to ``top - 1``, back to 0, down to ``-top``.
+
+    The return to 0 revisits the lattice point the scan started on, so it
+    must not report; ``-top`` is a new multiple of ``top = ceil(threshold)``
+    and must.  Returns ``(path, hit)``, ``hit`` being the offset of ``-top``.
+    """
+    top = int(np.ceil(threshold))
+    walk = list(range(top)) + list(range(top - 2, -top - 1, -1))
+    hit = position + len(walk) - 1
+    head = [(position - i) % 2 for i in range(position)]
+    zigzag = [-top + (i + 1) % 2 for i in range(tail)]
+    return np.array(head + walk + zigzag), hit
+
+
 class TestThresholdCrossings:
-    """The threshold-crossing scan shared by the span and multi-close hooks."""
+    """The threshold-crossing scan shared by the span and multi-close hooks.
+
+    The scan checks the step at ``position`` on its own (the prologue: the
+    baseline may start any distance from the path), then finds the rest in
+    one pass of the lattice rule: a report is a visit to a new multiple of
+    ``m = ceil(threshold)`` from the baseline.  The edge cases sit where
+    that code branches: the prologue, the first lattice step, the exclusive
+    ``stop``, and a return to the previous lattice point against a new one.
+    """
 
     @pytest.mark.parametrize("threshold", [1.6, 2.0, 3.2, 6.4])
     def test_matches_per_step_reference_on_random_walks(self, threshold):
@@ -209,28 +232,45 @@ class TestThresholdCrossings:
             ) == _reference_crossings(path, baseline, threshold, position, stop)
 
     @pytest.mark.parametrize("threshold", [1.6, 2.0, 3.2, 6.4])
-    @pytest.mark.parametrize("edge", [31, 32, 159, 160])
-    def test_hits_on_segment_edges(self, threshold, edge):
-        # Segments probe [0, 32), [32, 160), [160, 672), ... past the start,
-        # so these hits sit on the last and first offset of a segment.
+    @pytest.mark.parametrize(
+        "edge", ["prologue", "first_lattice_step", "stop", "new_multiple"]
+    )
+    def test_hits_on_lattice_edges(self, threshold, edge):
         position = 5
-        path = _path_crossing_at(position + 700, position + edge, threshold)
+        top = int(np.ceil(threshold))
+        if edge == "new_multiple":
+            path, hit = _path_returning_then_crossing(position, threshold)
+            expected = ([hit], -top)
+            stop = len(path)
+        else:
+            # The prologue hit sits on ``position`` itself, the first
+            # lattice step one past it; the stop case hits on ``stop - 1``.
+            hit = position + {"prologue": 0, "first_lattice_step": 1}.get(edge, 40)
+            path = _path_crossing_at(position + 100, hit, threshold)
+            expected = ([hit], top)
+            stop = hit + 1 if edge == "stop" else len(path)
         assert np.all(np.abs(np.diff(path)) == 1)
-        found = _threshold_crossings(path, 0, threshold, position, len(path))
-        assert found == ([position + edge], int(np.ceil(threshold)))
-        assert found == _reference_crossings(
-            path, 0, threshold, position, len(path)
-        )
+        found = _threshold_crossings(path, 0, threshold, position, stop)
+        assert found == expected
+        assert found == _reference_crossings(path, 0, threshold, position, stop)
+        if edge == "stop":
+            # One step shorter, the hit falls on ``stop`` and is not scanned.
+            assert _threshold_crossings(path, 0, threshold, position, hit) == (
+                [],
+                0,
+            )
 
-    def test_stop_inside_a_segment(self):
-        # stop = 100 falls inside the second segment [32, 160); the hit at
-        # 99 is in range, the one at 100 is not.
+    def test_stop_bounds_the_prologue(self):
+        # Non-unit jumps are fine on the prologue step; an empty scan
+        # (stop == position) reports nothing, and a one-step scan is the
+        # prologue alone.
         path = np.zeros(300, dtype=np.int64)
         path[99] = 2
         path[100:] = 4
-        assert _threshold_crossings(path, 0, 2.0, 0, 100) == ([99], 2)
-        assert _threshold_crossings(path, 0, 2.0, 0, 101) == ([99, 100], 4)
-        assert _threshold_crossings(path, 0, 2.0, 0, 99) == ([], 0)
+        assert _threshold_crossings(path, 0, 2.0, 99, 99) == ([], 0)
+        assert _threshold_crossings(path, 0, 2.0, 99, 100) == ([99], 2)
+        assert _threshold_crossings(path, 3, 2.0, 100, 101) == ([], 3)
+        assert _threshold_crossings(path, 0, 2.0, 100, 101) == ([100], 4)
 
 
 class _RecordingChannel:

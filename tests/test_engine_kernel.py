@@ -25,8 +25,8 @@ from repro.baselines import CormodeCounter, LiuStyleCounter, NaiveCounter
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.engine import DEFAULT_KERNEL, SpanKernel, segment_cuts
 from repro.exceptions import StreamError
+from repro.monitoring import build_tree_network
 from repro.monitoring.runner import run_tracking
-from repro.monitoring.sharding import build_sharded_network
 from repro.streams import (
     BlockedAssignment,
     assign_sites,
@@ -118,7 +118,7 @@ class TestKernelEquivalenceProperty:
         def run(batched):
             factory = FACTORIES[factory_name](num_sites, seed)
             if shards > 1:
-                network = build_sharded_network(factory, shards)
+                network = build_tree_network(factory, fanouts=[shards])
             else:
                 network = factory.build_network()
             result = run_tracking(

@@ -17,7 +17,7 @@ import pytest
 from repro.asynchrony import (
     ConstantLatency,
     UniformLatency,
-    build_async_network,
+    async_channels,
     run_tracking_async,
 )
 from repro.core import DeterministicCounter
@@ -32,6 +32,7 @@ from repro.faults import (
 )
 from repro.monitoring.messages import MessageKind
 from repro.streams import RoundRobinAssignment, assign_sites, random_walk_stream
+from repro.monitoring import build_tree_network
 
 EPSILON = 0.1
 
@@ -43,8 +44,10 @@ def _updates(n=3_000, k=6, seed=2):
 
 
 def _lossy_network(plan, latency, k=6, seed=1):
-    return build_async_network(
-        DeterministicCounter(k, EPSILON), latency=latency, seed=seed, faults=plan
+    return build_tree_network(
+        DeterministicCounter(k, EPSILON),
+        fanouts=[],
+        channel_factory=async_channels([], latency, seed=seed, faults=plan),
     )
 
 

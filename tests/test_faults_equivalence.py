@@ -15,15 +15,14 @@ import pytest
 
 from repro.asynchrony import (
     UniformLatency,
-    build_async_network,
-    build_sharded_async_network,
-    build_tree_async_network,
+    async_channels,
     run_tracking_async,
 )
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.faults import FaultPlan, FaultyChannel
 from repro.observability.instrument import _walk
 from repro.streams import RoundRobinAssignment, assign_sites, random_walk_stream
+from repro.monitoring import build_tree_network
 
 EPSILON = 0.1
 NUM_SITES = 6
@@ -34,19 +33,27 @@ FACTORIES = {
 }
 
 TOPOLOGIES = {
-    "flat": lambda factory, faults: build_async_network(
-        factory, latency=UniformLatency(0.5, 2.0), seed=3, faults=faults
+    "flat": lambda factory, faults: build_tree_network(
+        factory,
+        fanouts=[],
+        channel_factory=async_channels(
+            [], UniformLatency(0.5, 2.0), seed=3, faults=faults
+        ),
     ),
-    "shards3": lambda factory, faults: build_sharded_async_network(
-        factory, 3, latency=UniformLatency(0.5, 2.0), seed=3, faults=faults
+    "shards3": lambda factory, faults: build_tree_network(
+        factory,
+        fanouts=[3],
+        channel_factory=async_channels(
+            [3], UniformLatency(0.5, 2.0), seed=3, faults=faults
+        ),
     ),
-    "levels3": lambda factory, faults: build_tree_async_network(
+    "levels3": lambda factory, faults: build_tree_network(
         factory,
         levels=3,
         fanout=2,
-        latency=UniformLatency(0.5, 2.0),
-        seed=3,
-        faults=faults,
+        channel_factory=async_channels(
+            [2, 2], UniformLatency(0.5, 2.0), seed=3, faults=faults
+        ),
     ),
 }
 

@@ -24,8 +24,7 @@ from hypothesis import strategies as st
 
 from repro.asynchrony import (
     ConstantLatency,
-    build_async_network,
-    build_tree_async_network,
+    async_channels,
     run_tracking_async,
 )
 from repro.core import DeterministicCounter, RandomizedCounter
@@ -188,8 +187,10 @@ class TestSparseAndCrossLevelCells:
 
         def run(batched):
             factory = FACTORIES[factory_name](num_sites, SPARSE_EPSILON, seed)
-            network = build_async_network(
-                factory, latency=ConstantLatency(0.0), seed=0
+            network = build_tree_network(
+                factory,
+                fanouts=[],
+                channel_factory=async_channels([], ConstantLatency(0.0), seed=0),
             )
             return run_tracking_async(
                 network, updates, record_every=record_every, batched=batched
@@ -212,12 +213,11 @@ class TestSparseAndCrossLevelCells:
 
         def run(batched):
             factory = FACTORIES[factory_name](num_sites, SPARSE_EPSILON, seed)
-            network = build_tree_async_network(
+            network = build_tree_network(
                 factory,
                 levels=3,
                 fanout=2,
-                latency=ConstantLatency(0.0),
-                seed=0,
+                channel_factory=async_channels([2, 2], ConstantLatency(0.0), seed=0),
             )
             result = run_tracking_async(
                 network, updates, record_every=61, batched=batched
@@ -304,12 +304,13 @@ class TestDescentScheduleCells:
             factory = FACTORIES[factory_name](num_sites, epsilon, seed)
             if topology == "tree":
                 if transport == "async":
-                    network = build_tree_async_network(
+                    network = build_tree_network(
                         factory,
                         levels=3,
                         fanout=2,
-                        latency=ConstantLatency(0.0),
-                        seed=0,
+                        channel_factory=async_channels(
+                            [2, 2], ConstantLatency(0.0), seed=0
+                        ),
                     )
                     result = run_tracking_async(
                         network, updates, record_every=record_every, batched=batched
@@ -321,8 +322,10 @@ class TestDescentScheduleCells:
                     )
                 return _local_fingerprint(result, network)
             if transport == "async":
-                network = build_async_network(
-                    factory, latency=ConstantLatency(0.0), seed=0
+                network = build_tree_network(
+                    factory,
+                    fanouts=[],
+                    channel_factory=async_channels([], ConstantLatency(0.0), seed=0),
                 )
                 result = run_tracking_async(
                     network, updates, record_every=record_every, batched=batched

@@ -15,6 +15,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.asynchrony import (
+    UniformLatency,
+    ZERO_LATENCY,
+    async_channels,
+    run_tracking_async,
+)
 from repro.baselines.naive import NaiveCoordinator, NaiveSite
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.exceptions import ProtocolError
@@ -33,24 +39,25 @@ from repro.types import Update
 EPSILON = 0.1
 
 
-def _build_eagerly(factory):
+def _build_eagerly(factory, channel=None):
     """The network ``factory`` builds, but from an explicit site list."""
     return MonitoringNetwork(
         factory.build_coordinator(),
         [factory.build_site(site_id) for site_id in range(factory.num_sites)],
+        channel=channel,
     )
 
 
 class EagerDeterministic(DeterministicCounter):
     """Deterministic tracker whose networks (tree leaves too) list every site."""
 
-    def build_network(self):
-        return _build_eagerly(self)
+    def build_network(self, channel=None):
+        return _build_eagerly(self, channel)
 
 
 class EagerRandomized(RandomizedCounter):
-    def build_network(self):
-        return _build_eagerly(self)
+    def build_network(self, channel=None):
+        return _build_eagerly(self, channel)
 
 
 def _factories(randomized, num_sites):
@@ -236,6 +243,51 @@ class TestLazyMatchesExplicit:
             )
         assert results[0] == results[1]
         assert results[0][0].handoff_messages > 0
+
+
+class TestAsyncTreeLeaves:
+    """Leaves take their async channel at build time and stay lazy."""
+
+    @staticmethod
+    def _tree(factory, latency):
+        return build_tree_network(
+            factory,
+            levels=3,
+            fanout=2,
+            channel_factory=async_channels([2, 2], latency, seed=3),
+        )
+
+    @pytest.mark.parametrize(
+        "latency",
+        [ZERO_LATENCY, UniformLatency(0.5, 3.0)],
+        ids=["zero-latency", "jittered"],
+    )
+    def test_builds_touched_sites_and_matches_the_eager_build(self, latency):
+        lazy_factory, eager_factory = _factories(False, 16)
+        network = self._tree(lazy_factory, latency)
+        assert sum(leaf.network.num_built_sites for leaf in network.leaves()) == 0
+        # Sites 0, 5 and 9 sit in leaves 0, 1 and 2; five updates close no
+        # block, so no broadcast reaches an untouched site.
+        for time, site in enumerate([0, 5, 9, 0, 5], start=1):
+            network.advance_to(time)
+            network.deliver_update(time, site, 1)
+        leaves = network.leaves()
+        assert [leaf.network.coordinator.blocks_completed for leaf in leaves] == [0] * 4
+        assert [leaf.network.num_built_sites for leaf in leaves] == [1, 1, 1, 0]
+
+        updates = _updates(3_000, 16, block=100)
+        lazy = run_tracking_async(
+            self._tree(lazy_factory, latency), updates, record_every=50
+        )
+        eager = run_tracking_async(
+            self._tree(eager_factory, latency), updates, record_every=50
+        )
+        assert _fingerprint(lazy) == _fingerprint(eager)
+        assert lazy.staleness == eager.staleness
+        assert (lazy.final_clock, lazy.final_estimate) == (
+            eager.final_clock,
+            eager.final_estimate,
+        )
 
 
 class TestSiteIdContract:

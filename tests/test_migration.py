@@ -13,13 +13,12 @@ protocol refuses the configurations it cannot serve exactly.
 
 import pytest
 
-from repro.asynchrony import UniformLatency, build_tree_async_network
+from repro.asynchrony import UniformLatency, async_channels
 from repro.baselines import CormodeCounter, NaiveCounter
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.monitoring import (
     ChannelStats,
-    build_sharded_network,
     build_tree_network,
     leaf_groups,
     migrate_site,
@@ -148,7 +147,7 @@ class TestExactHandoff:
         assert net.estimate() == sum(values)
 
     def test_migration_works_on_legacy_sharded_builder(self):
-        net = build_sharded_network(DeterministicCounter(8, 0.1), 4)
+        net = build_tree_network(DeterministicCounter(8, 0.1), fanouts=[4])
         for update in _updates(1000, 8):
             net.deliver_update(update.time, update.site, update.delta)
         report = migrate_site(net, 2, dest_leaf=3, time=1000)
@@ -200,12 +199,11 @@ class TestHandoffCost:
 class TestAsyncMigration:
     def test_drain_then_exact_handoff_under_jitter(self):
         k = 8
-        net = build_tree_async_network(
+        net = build_tree_network(
             DeterministicCounter(k, 0.1),
             levels=3,
             fanout=2,
-            latency=UniformLatency(0.0, 4.0),
-            seed=13,
+            channel_factory=async_channels([2, 2], UniformLatency(0.0, 4.0), seed=13),
         )
         updates = _updates(4000, k)
         prefix, suffix = updates[:2000], updates[2000:]
@@ -223,12 +221,11 @@ class TestAsyncMigration:
 
     def test_async_migration_preserves_cumulative_accounting(self):
         k = 4
-        net = build_tree_async_network(
+        net = build_tree_network(
             DeterministicCounter(k, 0.1),
             levels=2,
             fanout=2,
-            latency=UniformLatency(0.0, 2.0),
-            seed=7,
+            channel_factory=async_channels([2], UniformLatency(0.0, 2.0), seed=7),
         )
         for update in _updates(1500, k):
             net.deliver_update(update.time, update.site, update.delta)

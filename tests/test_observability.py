@@ -23,12 +23,11 @@ from repro.core import DeterministicCounter
 from repro.exceptions import ConfigurationError
 from repro.monitoring import (
     ChannelStats,
-    build_sharded_network,
     build_tree_network,
     migrate_site,
     run_tracking,
 )
-from repro.asynchrony import UniformLatency, build_async_network, run_tracking_async
+from repro.asynchrony import UniformLatency, async_channels, run_tracking_async
 from repro.observability import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
@@ -223,7 +222,7 @@ class TestInstrumentationCountsMatchProtocol:
 
     def test_sharded_per_level_counters_match_level_summary(self):
         updates = _updates(800, 6)
-        network = build_sharded_network(DeterministicCounter(6, EPSILON), 3)
+        network = build_tree_network(DeterministicCounter(6, EPSILON), fanouts=[3])
         instr = instrument_network(network)
         run_tracking(network, updates)
         instr.registry.collect()
@@ -259,7 +258,7 @@ class TestInstrumentationCountsMatchProtocol:
 
     def test_level_share_gauges_match_analysis(self):
         updates = _updates(500, 8)
-        network = build_sharded_network(DeterministicCounter(8, EPSILON), 2)
+        network = build_tree_network(DeterministicCounter(8, EPSILON), fanouts=[2])
         instr = instrument_network(network)
         run_tracking(network, updates)
         instr.registry.collect()
@@ -275,8 +274,10 @@ class TestInstrumentationCountsMatchProtocol:
 
     def test_async_deliveries_feed_histogram_and_staleness_gauges(self):
         updates = _updates(400, 4)
-        network = build_async_network(
-            DeterministicCounter(4, EPSILON), latency=UniformLatency(0.5, 2.0), seed=3
+        network = build_tree_network(
+            DeterministicCounter(4, EPSILON),
+            fanouts=[],
+            channel_factory=async_channels([], UniformLatency(0.5, 2.0), seed=3),
         )
         instr = instrument_network(network)
         result = run_tracking_async(network, updates)
@@ -302,11 +303,15 @@ class TestInstrumentationCountsMatchProtocol:
         from repro.faults import FaultPlan
 
         updates = _updates(900, 4)
-        network = build_async_network(
+        network = build_tree_network(
             DeterministicCounter(4, EPSILON),
-            latency=UniformLatency(1.0, 8.0),
-            seed=3,
-            faults=FaultPlan(loss=0.15, seed=7),
+            fanouts=[],
+            channel_factory=async_channels(
+                [],
+                UniformLatency(1.0, 8.0),
+                seed=3,
+                faults=FaultPlan(loss=0.15, seed=7),
+            ),
         )
         instr = instrument_network(network)
         result = run_tracking_async(network, updates)
@@ -333,8 +338,10 @@ class TestInstrumentationCountsMatchProtocol:
 
     def test_lossless_scrape_has_no_reliability_series(self):
         updates = _updates(400, 4)
-        network = build_async_network(
-            DeterministicCounter(4, EPSILON), latency=UniformLatency(0.5, 2.0), seed=3
+        network = build_tree_network(
+            DeterministicCounter(4, EPSILON),
+            fanouts=[],
+            channel_factory=async_channels([], UniformLatency(0.5, 2.0), seed=3),
         )
         instr = instrument_network(network)
         run_tracking_async(network, updates)
@@ -351,7 +358,7 @@ class TestInstrumentationCountsMatchProtocol:
     def test_migration_bumps_counter_and_keeps_counting(self):
         k, shards = 8, 2
         updates = _updates(1200, k)
-        network = build_sharded_network(DeterministicCounter(k, EPSILON), shards)
+        network = build_tree_network(DeterministicCounter(k, EPSILON), fanouts=[shards])
         instr = instrument_network(network)
         split = len(updates) // 2
         run_tracking(network, updates[:split])
@@ -442,8 +449,10 @@ class TestRates:
 
     def test_async_summary_rates_use_drained_clock(self):
         updates = _updates(300, 4)
-        network = build_async_network(
-            DeterministicCounter(4, EPSILON), latency=UniformLatency(0.5, 2.0), seed=9
+        network = build_tree_network(
+            DeterministicCounter(4, EPSILON),
+            fanouts=[],
+            channel_factory=async_channels([], UniformLatency(0.5, 2.0), seed=9),
         )
         result = run_tracking_async(network, updates)
         rates = result.summary()["rates"]

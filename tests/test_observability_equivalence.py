@@ -19,14 +19,11 @@ import pytest
 
 from repro.asynchrony import (
     UniformLatency,
-    build_async_network,
-    build_sharded_async_network,
-    build_tree_async_network,
+    async_channels,
     run_tracking_async,
 )
 from repro.core import DeterministicCounter
 from repro.monitoring import (
-    build_sharded_network,
     build_tree_network,
     run_tracking,
 )
@@ -50,7 +47,7 @@ def _sync_network(num_levels):
     if num_levels == 1:
         return factory.build_network()
     if num_levels == 2:
-        return build_sharded_network(factory, 2)
+        return build_tree_network(factory, fanouts=[2])
     return build_tree_network(factory, fanouts=(2, 2))
 
 
@@ -58,11 +55,21 @@ def _async_network(num_levels, seed):
     factory = DeterministicCounter(SITES, EPSILON)
     latency = UniformLatency(0.5, 2.0)
     if num_levels == 1:
-        return build_async_network(factory, latency=latency, seed=seed)
+        return build_tree_network(
+            factory,
+            fanouts=[],
+            channel_factory=async_channels([], latency, seed=seed),
+        )
     if num_levels == 2:
-        return build_sharded_async_network(factory, 2, latency=latency, seed=seed)
-    return build_tree_async_network(
-        factory, fanouts=(2, 2), latency=latency, seed=seed
+        return build_tree_network(
+            factory,
+            fanouts=[2],
+            channel_factory=async_channels([2], latency, seed=seed),
+        )
+    return build_tree_network(
+        factory,
+        fanouts=(2, 2),
+        channel_factory=async_channels([2, 2], latency, seed=seed),
     )
 
 

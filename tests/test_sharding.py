@@ -19,9 +19,10 @@ import pytest
 from repro.asynchrony import (
     ConstantLatency,
     UniformLatency,
-    build_sharded_async_network,
+    async_channels,
     run_tracking_async,
 )
+from repro.api import RunSpec, SourceSpec, TopologySpec, TrackerSpec, TransportSpec
 from repro.baselines import CormodeCounter, HuangCounter, NaiveCounter
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.core.blocks import block_level
@@ -33,7 +34,7 @@ from repro.monitoring import (
     RootAggregator,
     ShardedNetwork,
     StridedSharding,
-    build_sharded_network,
+    build_tree_network,
     run_tracking,
 )
 from repro.streams import (
@@ -96,21 +97,34 @@ class TestShardingPolicies:
             StridedSharding().partition(3, 0)
 
 
+def _single_shard(tracker, transport=None):
+    """The ``shards=1`` topology over 4 sites, as the spec layer wires it."""
+    return RunSpec(
+        source=SourceSpec(sites=4),
+        tracker=tracker,
+        topology=TopologySpec(shards=1),
+        transport=TransportSpec() if transport is None else transport,
+    ).build_network()
+
+
 class TestFlatEquivalence:
     """shards=1 must be bit-for-bit the flat engine, on every engine."""
 
     @pytest.mark.parametrize(
-        "factory_builder",
+        "factory_builder, tracker",
         [
-            lambda: DeterministicCounter(4, 0.1),
-            lambda: RandomizedCounter(4, 0.1, seed=9),
-            lambda: CormodeCounter(4, 0.1),
-            lambda: NaiveCounter(4),
+            (lambda: DeterministicCounter(4, 0.1), TrackerSpec("deterministic")),
+            (
+                lambda: RandomizedCounter(4, 0.1, seed=9),
+                TrackerSpec("randomized", seed=9),
+            ),
+            (lambda: CormodeCounter(4, 0.1), TrackerSpec("cormode")),
+            (lambda: NaiveCounter(4), TrackerSpec("naive")),
         ],
         ids=["deterministic", "randomized", "cormode", "naive"],
     )
     @pytest.mark.parametrize("batched", [False, True], ids=["per-update", "batched"])
-    def test_sync_engines_bit_for_bit(self, factory_builder, batched):
+    def test_sync_engines_bit_for_bit(self, factory_builder, tracker, batched):
         monotone = isinstance(factory_builder(), CormodeCounter)
         spec = (
             monotone_stream(2_000) if monotone else random_walk_stream(2_000, seed=3)
@@ -119,15 +133,13 @@ class TestFlatEquivalence:
         flat_net = factory_builder().build_network()
         flat_net.channel.enable_log()
         flat = run_tracking(flat_net, updates, record_every=21, batched=batched)
-        sharded_net = build_sharded_network(factory_builder(), 1)
+        sharded_net = _single_shard(tracker)
         sharded_net.channel.enable_log()
         sharded = run_tracking(
             sharded_net, updates, record_every=21, batched=batched
         )
         assert _fingerprint(flat) == _fingerprint(sharded)
-        assert _transcript(flat_net.channel) == _transcript(
-            sharded_net.shards[0].network.channel
-        )
+        assert _transcript(flat_net.channel) == _transcript(sharded_net.channel)
 
     def test_async_zero_latency_bit_for_bit(self):
         spec = sawtooth_stream(1_500, amplitude=30)
@@ -138,9 +150,7 @@ class TestFlatEquivalence:
             record_every=9,
             batched=False,
         )
-        network = build_sharded_async_network(
-            DeterministicCounter(4, 0.1), 1, latency=ConstantLatency(0.0)
-        )
+        network = _single_shard(TrackerSpec(), TransportSpec(mode="async"))
         asynchronous = run_tracking_async(network, updates, record_every=9)
         assert _fingerprint(flat) == _fingerprint(asynchronous)
         assert asynchronous.staleness.inflight_highwater == 0
@@ -148,20 +158,21 @@ class TestFlatEquivalence:
     def test_async_jittered_latency_bit_for_bit(self):
         """shards=1 must match the flat async engine even when the latency
         RNG is consulted — the single shard's channel draws the same seed."""
-        from repro.asynchrony import build_async_network
-
         spec = random_walk_stream(800, seed=29)
         updates = assign_sites(spec, 4)
         flat = run_tracking_async(
-            build_async_network(
-                DeterministicCounter(4, 0.1), latency=UniformLatency(1.0, 5.0), seed=0
+            build_tree_network(
+                DeterministicCounter(4, 0.1),
+                fanouts=[],
+                channel_factory=async_channels([], UniformLatency(1.0, 3.0), seed=0),
             ),
             updates,
             record_every=7,
         )
         sharded = run_tracking_async(
-            build_sharded_async_network(
-                DeterministicCounter(4, 0.1), 1, latency=UniformLatency(1.0, 5.0), seed=0
+            _single_shard(
+                TrackerSpec(),
+                TransportSpec(mode="async", latency="uniform", scale=2.0, seed=0),
             ),
             updates,
             record_every=7,
@@ -170,14 +181,16 @@ class TestFlatEquivalence:
         assert flat.staleness == sharded.staleness
 
     def test_single_shard_pays_no_root_hop(self):
-        network = build_sharded_network(DeterministicCounter(4, 0.1), 1)
-        assert network.root is None
-        assert network.root_stats.messages == 0
-        run_tracking(
-            network, assign_sites(random_walk_stream(500, seed=5), 4), record_every=10
-        )
-        assert network.root_stats.messages == 0
-        assert network.stats.messages == network.local_stats.messages
+        network = _single_shard(TrackerSpec())
+        flat_net = DeterministicCounter(4, 0.1).build_network()
+        assert not isinstance(network, ShardedNetwork)
+        assert getattr(network, "root", None) is None
+        updates = assign_sites(random_walk_stream(500, seed=5), 4)
+        result = run_tracking(network, updates, record_every=10)
+        flat = run_tracking(flat_net, updates, record_every=10)
+        assert result.levels is None
+        assert _fingerprint(result) == _fingerprint(flat)
+        assert network.stats == flat_net.stats
 
 
 class TestHierarchicalMerge:
@@ -191,7 +204,7 @@ class TestHierarchicalMerge:
         spec = random_walk_stream(3_000, seed=7)
         updates = assign_sites(spec, 8, RoundRobinAssignment())
         factory = DeterministicCounter(8, 0.1)
-        network = build_sharded_network(factory, num_shards, sharding=sharding)
+        network = build_tree_network(factory, fanouts=[num_shards], sharding=sharding)
         run_tracking(network, updates, record_every=25, batched=False)
         for shard in network.shards:
             reference = factory.shard_factory(
@@ -218,7 +231,10 @@ class TestHierarchicalMerge:
         nets = {}
         results = {}
         for batched in (False, True):
-            nets[batched] = build_sharded_network(DeterministicCounter(8, 0.1), 4)
+            nets[batched] = build_tree_network(
+                DeterministicCounter(8, 0.1),
+                fanouts=[4],
+            )
             results[batched] = run_tracking(
                 nets[batched], updates, record_every=50, batched=batched
             )
@@ -233,7 +249,7 @@ class TestHierarchicalMerge:
         assert nets[False].estimate() == nets[True].estimate()
 
     def test_root_level_tracks_merged_magnitude(self):
-        network = build_sharded_network(NaiveCounter(4), 2)
+        network = build_tree_network(NaiveCounter(4), fanouts=[2])
         updates = assign_sites(monotone_stream(600), 4)
         run_tracking(network, updates, record_every=60)
         root = network.root
@@ -243,7 +259,7 @@ class TestHierarchicalMerge:
             assert shard.root_level == root.level
 
     def test_root_channel_carries_only_reports_and_level_resends(self):
-        network = build_sharded_network(DeterministicCounter(6, 0.1), 3)
+        network = build_tree_network(DeterministicCounter(6, 0.1), fanouts=[3])
         updates = assign_sites(random_walk_stream(2_000, seed=13), 6)
         run_tracking(network, updates, record_every=40)
         kinds = set(network.root_stats.by_kind)
@@ -254,7 +270,7 @@ class TestHierarchicalMerge:
         assert sum(shard.pushes for shard in network.shards) == network.root.reports
 
     def test_total_stats_decompose_into_local_plus_root(self):
-        network = build_sharded_network(DeterministicCounter(6, 0.1), 3)
+        network = build_tree_network(DeterministicCounter(6, 0.1), fanouts=[3])
         updates = assign_sites(random_walk_stream(1_500, seed=17), 6)
         result = run_tracking(network, updates, record_every=30)
         combined = network.local_stats + network.root_stats
@@ -272,10 +288,12 @@ class TestAsyncSharded:
     def test_zero_latency_matches_sync_sharded(self):
         spec = random_walk_stream(2_500, seed=19)
         updates = assign_sites(spec, 8)
-        sync_net = build_sharded_network(DeterministicCounter(8, 0.1), 4)
+        sync_net = build_tree_network(DeterministicCounter(8, 0.1), fanouts=[4])
         sync = run_tracking(sync_net, updates, record_every=13, batched=False)
-        async_net = build_sharded_async_network(
-            DeterministicCounter(8, 0.1), 4, latency=ConstantLatency(0.0)
+        async_net = build_tree_network(
+            DeterministicCounter(8, 0.1),
+            fanouts=[4],
+            channel_factory=async_channels([4], ConstantLatency(0.0)),
         )
         asynchronous = run_tracking_async(async_net, updates, record_every=13)
         assert _fingerprint(sync) == _fingerprint(asynchronous)
@@ -286,12 +304,12 @@ class TestAsyncSharded:
         """With latency only on the root leg, shards are exact but the root lags."""
         spec = monotone_stream(800)
         updates = assign_sites(spec, 4)
-        network = build_sharded_async_network(
+        network = build_tree_network(
             NaiveCounter(4),
-            2,
-            latency=ConstantLatency(0.0),
-            root_latency=ConstantLatency(50.0),
-            seed=0,
+            fanouts=[2],
+            channel_factory=async_channels(
+                [2], ConstantLatency(0.0), seed=0, root_latency=ConstantLatency(50.0)
+            ),
         )
         result = run_tracking_async(network, updates, record_every=1, drain=False)
         # Shard estimates are exact (local legs are instant)...
@@ -307,11 +325,10 @@ class TestAsyncSharded:
     def test_staleness_signals_aggregate_both_levels(self):
         spec = random_walk_stream(1_200, seed=23)
         updates = assign_sites(spec, 6)
-        network = build_sharded_async_network(
+        network = build_tree_network(
             DeterministicCounter(6, 0.1),
-            3,
-            latency=UniformLatency(1.0, 4.0),
-            seed=2,
+            fanouts=[3],
+            channel_factory=async_channels([3], UniformLatency(1.0, 4.0), seed=2),
         )
         result = run_tracking_async(network, updates, record_every=20)
         assert result.staleness.delivered == result.total_messages
@@ -324,12 +341,12 @@ class TestAsyncSharded:
         window frontier, never back-dated to the previous advance point."""
         spec = monotone_stream(2)
         updates = [u for u in assign_sites(spec, 2)]
-        network = build_sharded_async_network(
+        network = build_tree_network(
             NaiveCounter(2),
-            2,
-            latency=ConstantLatency(10.0),
-            root_latency=ConstantLatency(1.0),
-            seed=0,
+            fanouts=[2],
+            channel_factory=async_channels(
+                [2], ConstantLatency(10.0), seed=0, root_latency=ConstantLatency(1.0)
+            ),
         )
         # The update at t=1 reaches site 0's shard coordinator at t=11,
         # inside advance_to(100): the push is transmitted at the frontier
@@ -346,14 +363,14 @@ class TestAsyncSharded:
         assert network.estimate() == 1.0
 
     def test_sync_channels_rejected(self):
-        network = build_sharded_network(DeterministicCounter(4, 0.1), 2)
+        network = build_tree_network(DeterministicCounter(4, 0.1), fanouts=[2])
         with pytest.raises(ProtocolError):
             run_tracking_async(network, [])
 
 
 class TestTopologyValidation:
     def test_unknown_site_rejected(self):
-        network = build_sharded_network(DeterministicCounter(4, 0.1), 2)
+        network = build_tree_network(DeterministicCounter(4, 0.1), fanouts=[2])
         with pytest.raises(ProtocolError):
             network.deliver_update(1, 9, 1)
         with pytest.raises(ProtocolError):
@@ -361,31 +378,23 @@ class TestTopologyValidation:
 
     def test_more_shards_than_sites_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_sharded_network(DeterministicCounter(2, 0.1), 3)
+            build_tree_network(DeterministicCounter(2, 0.1), fanouts=[3])
 
     def test_factory_without_shard_hook_rejected(self):
         class Bare:
             num_sites = 4
 
         with pytest.raises(ConfigurationError):
-            build_sharded_network(Bare(), 2)
+            build_tree_network(Bare(), fanouts=[2])
 
     def test_root_aggregator_needs_two_shards(self):
         with pytest.raises(ConfigurationError):
             RootAggregator(num_shards=1, num_sites=4)
 
     def test_uplink_refuses_stream_updates(self):
-        network = build_sharded_network(DeterministicCounter(4, 0.1), 2)
+        network = build_tree_network(DeterministicCounter(4, 0.1), fanouts=[2])
         with pytest.raises(ProtocolError):
             network.shards[0].uplink.receive_update(1, 1)
-
-    def test_sharded_network_guards_root_wiring(self):
-        base = build_sharded_network(DeterministicCounter(4, 0.1), 2)
-        with pytest.raises(ConfigurationError):
-            ShardedNetwork(base.shards, None)
-        single = build_sharded_network(DeterministicCounter(4, 0.1), 1)
-        with pytest.raises(ConfigurationError):
-            ShardedNetwork(single.shards, base.root_network)
 
     def test_seeded_factories_derive_per_shard_seeds(self):
         factory = RandomizedCounter(8, 0.1, seed=5)
@@ -395,6 +404,6 @@ class TestTopologyValidation:
         assert RandomizedCounter(8, 0.1).shard_factory(4, 1).seed is None
 
     def test_reply_quorum_is_the_local_group_size(self):
-        network = build_sharded_network(DeterministicCounter(9, 0.1), 3)
+        network = build_tree_network(DeterministicCounter(9, 0.1), fanouts=[3])
         for shard in network.shards:
             assert shard.coordinator.reply_quorum == shard.num_sites == 3

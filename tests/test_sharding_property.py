@@ -18,7 +18,7 @@ from repro.core import DeterministicCounter, RandomizedCounter
 from repro.monitoring import (
     ContiguousSharding,
     StridedSharding,
-    build_sharded_network,
+    build_tree_network,
     run_tracking,
 )
 from repro.streams.model import deltas_to_updates
@@ -57,7 +57,20 @@ def test_hierarchical_merge_equals_flat_coordinators(
         else DeterministicCounter(num_sites, 0.1)
     )
     sharding = StridedSharding() if strided else ContiguousSharding()
-    network = build_sharded_network(factory, num_shards, sharding=sharding)
+    if num_shards == 1:
+        # Degenerate hierarchy: one shard is no tree, ``shards=1`` wires the
+        # flat star, and its view *is* the flat coordinator.
+        network = build_tree_network(factory, fanouts=[])
+        result = run_tracking(network, updates, record_every=13, batched=batched)
+        flat = factory.shard_factory(num_sites, 0).build_network()
+        for update in updates:
+            flat.deliver_update(update.time, update.site, update.delta)
+        assert network.estimate() == flat.estimate()
+        assert result.total_messages == flat.stats.messages
+        assert network.stats.bits == flat.stats.bits
+        assert network.stats.by_kind == flat.stats.by_kind
+        return
+    network = build_tree_network(factory, fanouts=[num_shards], sharding=sharding)
     result = run_tracking(network, updates, record_every=13, batched=batched)
 
     for shard in network.shards:
@@ -77,10 +90,3 @@ def test_hierarchical_merge_equals_flat_coordinators(
 
     merged = sum(shard.estimate() for shard in network.shards)
     assert network.estimate() == merged
-    if num_shards == 1:
-        # Degenerate hierarchy: the root view *is* the flat coordinator.
-        flat = factory.shard_factory(num_sites, 0).build_network()
-        for update in updates:
-            flat.deliver_update(update.time, update.site, update.delta)
-        assert network.estimate() == flat.estimate()
-        assert result.total_messages == flat.stats.messages

@@ -20,8 +20,7 @@ import pytest
 
 from repro.asynchrony import (
     UniformLatency,
-    build_sharded_async_network,
-    build_tree_async_network,
+    async_channels,
     run_tracking_async,
 )
 from repro.core import DeterministicCounter, RandomizedCounter
@@ -123,7 +122,7 @@ class TestEpsilonSplits:
         # Wrappers at node level l carry the level-l budget as push deadband.
         top = net.shards[0]
         assert top.push_deadband == pytest.approx(0.2 / 7)
-        assert top.network.shards[0].push_deadband == pytest.approx(0.4 / 7)
+        assert top.children[0].push_deadband == pytest.approx(0.4 / 7)
         # Every leaf tracker runs with the leaf budget.
         for leaf in net.leaves():
             assert leaf.network.coordinator.epsilon == pytest.approx(0.8 / 7)
@@ -178,6 +177,38 @@ class TestTreeShape:
 
         with pytest.raises(ConfigurationError):
             build_tree_network(NoShards(), levels=2, fanout=2)
+
+    @pytest.mark.parametrize(
+        "tree, transport",
+        [([2, 3], [3, 2]), ([], [4]), ([4], []), ([2, 2], [2, 2, 2])],
+    )
+    def test_channel_factory_must_fit_the_tree(self, tree, transport):
+        with pytest.raises(ConfigurationError, match="fanouts"):
+            build_tree_network(
+                DeterministicCounter(8, 0.1),
+                fanouts=tree,
+                channel_factory=async_channels(transport, UniformLatency(0.0, 1.0)),
+            )
+
+    def test_plain_build_network_suffices_without_a_transport(self):
+        class Plain:
+            """A tracker factory whose build_network takes no channel."""
+
+            def __init__(self, num_sites):
+                self.num_sites = num_sites
+                self.epsilon = 0.1
+
+            def build_network(self):
+                return DeterministicCounter(self.num_sites, self.epsilon).build_network()
+
+            def shard_factory(self, num_sites, shard_id):
+                return Plain(num_sites)
+
+        assert build_tree_network(Plain(6), fanouts=[]).num_sites == 6
+        assert build_tree_network(Plain(6), fanouts=[2]).num_sites == 6
+        assert build_tree_network(
+            Plain(6), fanouts=[2], channel_factory=lambda *node: None
+        ).num_sites == 6
 
 
 class TestTreeTracking:
@@ -290,15 +321,16 @@ class TestAsyncTree:
     def test_two_level_tree_matches_legacy_async_builder(self):
         updates = _updates(3000, 12)
         latency = UniformLatency(0.0, 4.0)
-        legacy = build_sharded_async_network(
-            DeterministicCounter(12, 0.05), 4, latency=latency, seed=11
+        legacy = build_tree_network(
+            DeterministicCounter(12, 0.05),
+            fanouts=[4],
+            channel_factory=async_channels([4], latency, seed=11),
         )
-        tree = build_tree_async_network(
+        tree = build_tree_network(
             DeterministicCounter(12, 0.05),
             levels=2,
             fanout=4,
-            latency=latency,
-            seed=11,
+            channel_factory=async_channels([4], latency, seed=11),
         )
         a = run_tracking_async(legacy, list(updates), record_every=100)
         b = run_tracking_async(tree, list(updates), record_every=100)
@@ -312,12 +344,11 @@ class TestAsyncTree:
         )
 
     def test_deep_tree_settles_on_exact_sum_after_drain(self):
-        net = build_tree_async_network(
+        net = build_tree_network(
             RandomizedCounter(12, 0.1, seed=3),
             levels=3,
             fanout=2,
-            latency=UniformLatency(0.0, 3.0),
-            seed=5,
+            channel_factory=async_channels([2, 2], UniformLatency(0.0, 3.0), seed=5),
         )
         result = run_tracking_async(net, _updates(3000, 12), record_every=300)
         total = sum(leaf.network.estimate() for leaf in net.leaves())
@@ -325,12 +356,11 @@ class TestAsyncTree:
         assert result.levels is not None and len(result.levels) == 3
 
     def test_multi_hop_latency_ages_accumulate_per_level(self):
-        net = build_tree_async_network(
+        net = build_tree_network(
             DeterministicCounter(8, 0.1),
             levels=3,
             fanout=2,
-            latency=UniformLatency(1.0, 3.0),
-            seed=2,
+            channel_factory=async_channels([2, 2], UniformLatency(1.0, 3.0), seed=2),
         )
         run_tracking_async(net, _updates(2000, 8), record_every=200)
         # Every level saw deliveries with real in-flight time.

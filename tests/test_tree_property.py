@@ -3,10 +3,11 @@
 Two invariants, over arbitrary unit-delta streams:
 
 * **Depth-2 equivalence.**  ``build_tree_network(levels=2, fanout=S)`` is
-  *bit-for-bit* the legacy ``build_sharded_network(S)`` — estimates,
+  *bit-for-bit* the two-level sharded spelling ``fanouts=[S]`` — estimates,
   message counts, bit counts, per-kind breakdown, root transcript — across
-  the per-update, batched and asynchronous engines.  The tree is a strict
-  generalisation of the sharded hierarchy, not a reimplementation.
+  the per-update, batched and asynchronous engines.  (Both spellings build
+  the same table; ``tests/test_tree_golden.py`` pins the outputs
+  themselves.)
 * **Exact internal sums.**  At any depth and fan-out, every internal node's
   estimate equals the exact sum of its children's estimates (the default
   leaf split reserves the whole budget for the leaf trackers, so
@@ -17,15 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asynchrony import (
-    build_sharded_async_network,
-    build_tree_async_network,
+    async_channels,
     run_tracking_async,
 )
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.monitoring import (
     ShardedNetwork,
     StridedSharding,
-    build_sharded_network,
     build_tree_network,
     run_tracking,
 )
@@ -84,7 +83,7 @@ def test_two_level_tree_is_bitwise_the_sharded_network(
             else DeterministicCounter(num_sites, 0.1)
         )
 
-    legacy = build_sharded_network(factory(), num_shards)
+    legacy = build_tree_network(factory(), fanouts=[num_shards])
     legacy.channel.enable_log()
     tree = build_tree_network(factory(), levels=2, fanout=num_shards)
     tree.channel.enable_log()
@@ -126,11 +125,16 @@ def test_two_level_async_tree_is_bitwise_the_sharded_async_network(
             else DeterministicCounter(num_sites, 0.1)
         )
 
-    legacy = build_sharded_async_network(
-        factory(), num_shards, latency=latency, seed=19
+    legacy = build_tree_network(
+        factory(),
+        fanouts=[num_shards],
+        channel_factory=async_channels([num_shards], latency, seed=19),
     )
-    tree = build_tree_async_network(
-        factory(), levels=2, fanout=num_shards, latency=latency, seed=19
+    tree = build_tree_network(
+        factory(),
+        levels=2,
+        fanout=num_shards,
+        channel_factory=async_channels([num_shards], latency, seed=19),
     )
     a = run_tracking_async(legacy, list(updates), record_every=17)
     b = run_tracking_async(tree, list(updates), record_every=17)
@@ -141,11 +145,10 @@ def test_two_level_async_tree_is_bitwise_the_sharded_async_network(
 def _check_internal_sums(network):
     """Every internal node's estimate is the exact sum of its children's."""
     assert isinstance(network, ShardedNetwork)
-    children = [shard.network.estimate() for shard in network.shards]
-    assert network.estimate() == sum(children)
-    for shard in network.shards:
-        if isinstance(shard.network, ShardedNetwork):
-            _check_internal_sums(shard.network)
+    for row in network.nodes:
+        if row.children:
+            children = [child.network.estimate() for child in row.children]
+            assert row.network.estimate() == sum(children)
 
 
 @given(
