@@ -16,7 +16,7 @@ together), so the assertions check ratios, not absolute rates.
 from bench_support import check, size
 
 from repro.analysis import measure_engine_throughput
-from repro.api import SourceSpec, TrackerSpec
+from repro.api import RunSpec, SourceSpec, TrackerSpec
 
 SWEEP_N = size(150_000, 10_000)
 HEADLINE_N = size(1_000_000, 20_000)
@@ -26,28 +26,29 @@ BLOCK_LENGTH = 4_096
 RECORD_EVERY = 20_000
 
 
-def _workload(length: int, num_sites: int) -> list:
-    """The E17 scenario's source axis, declared as a spec."""
-    return SourceSpec(
-        stream="random_walk",
-        length=length,
-        seed=31,
-        sites=num_sites,
-        assignment="blocked",
-        assignment_params={"block_length": BLOCK_LENGTH},
-    ).build_updates()
+def _spec(tracker: TrackerSpec, length: int, num_sites: int) -> RunSpec:
+    """The E17 scenario: a blocked random walk timed on the batched engine."""
+    return RunSpec(
+        source=SourceSpec(
+            stream="random_walk",
+            length=length,
+            seed=31,
+            sites=num_sites,
+            assignment="blocked",
+            assignment_params={"block_length": BLOCK_LENGTH},
+        ),
+        tracker=tracker,
+        engine="batched",
+        record_every=RECORD_EVERY,
+    )
 
 
 def _measure():
     rows = []
     for num_sites in SITE_COUNTS:
-        updates = _workload(SWEEP_N, num_sites)
         for tracker in ("deterministic", "randomized"):
-            factory = TrackerSpec(
-                name=tracker, epsilon=EPSILON, seed=5
-            ).build_factory(num_sites)
             slow_rate, fast_rate, speedup = measure_engine_throughput(
-                factory, updates, record_every=RECORD_EVERY
+                _spec(TrackerSpec(name=tracker, epsilon=EPSILON, seed=5), SWEEP_N, num_sites)
             )
             rows.append(
                 [
@@ -59,9 +60,8 @@ def _measure():
                     round(speedup, 2),
                 ]
             )
-    headline_factory = TrackerSpec(name="deterministic", epsilon=EPSILON).build_factory(16)
     slow_rate, fast_rate, speedup = measure_engine_throughput(
-        headline_factory, _workload(HEADLINE_N, 16), record_every=RECORD_EVERY
+        _spec(TrackerSpec(name="deterministic", epsilon=EPSILON), HEADLINE_N, 16)
     )
     rows.append(
         ["deterministic", 16, HEADLINE_N, round(slow_rate), round(fast_rate), round(speedup, 2)]

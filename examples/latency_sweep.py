@@ -28,20 +28,28 @@ Run with::
 
 from __future__ import annotations
 
-from repro import DeterministicCounter, assign_sites, variability
-from repro.analysis import format_table, run_latency_sweep
-from repro.streams import biased_walk_stream
+from repro import variability
+from repro.analysis import format_table, time_averaged_relative_error
+from repro.api import RunSpec, SourceSpec, Sweep, TrackerSpec, TransportSpec
 
 EPSILON = 0.1
 NUM_SITES = 8
 LENGTH = 20_000
 SCALES = [0.0, 1.0, 4.0, 16.0, 64.0]
 
+#: One biased walk (drift 0.5, seed 3) spread round robin over the sites,
+#: tracked over uniform-jitter asynchronous links; the sweeps below vary
+#: only the transport.
+BASE = RunSpec(
+    source=SourceSpec(stream="biased_walk", length=LENGTH, seed=3, sites=NUM_SITES),
+    tracker=TrackerSpec(name="deterministic", epsilon=EPSILON),
+    transport=TransportSpec(mode="async", latency="uniform", seed=0),
+    record_every=25,
+)
+
 
 def main() -> None:
-    spec = biased_walk_stream(LENGTH, drift=0.5, seed=3)
-    updates = assign_sites(spec, NUM_SITES)
-    v = variability(spec.deltas)
+    v = variability(BASE.source.build_stream().deltas)
 
     print("Latency sweep: deterministic tracker over the asynchronous transport")
     print(f"  stream           : biased walk, n={LENGTH}, v(n)={v:.1f}")
@@ -50,25 +58,18 @@ def main() -> None:
     print(f"  scale 0          : zero latency == the paper's synchronous model")
     print()
 
-    points = run_latency_sweep(
-        lambda: DeterministicCounter(NUM_SITES, EPSILON),
-        updates,
-        epsilon=EPSILON,
-        scales=SCALES,
-        record_every=25,
-        seed=0,
-    )
+    results = [point.result for point in Sweep(BASE, {"transport.scale": SCALES}).run()]
     rows = [
         [
-            point.scale,
-            point.messages,
-            round(point.time_avg_error, 4),
-            round(point.violation_fraction, 3),
-            round(point.staleness.mean_age, 2),
-            round(point.staleness.p95_age, 2),
-            point.staleness.inflight_highwater,
+            scale,
+            result.total_messages,
+            round(time_averaged_relative_error(result.records), 4),
+            round(result.violation_fraction(EPSILON), 3),
+            round(result.staleness.mean_age, 2),
+            round(result.staleness.p95_age, 2),
+            result.staleness.inflight_highwater,
         ]
-        for point in points
+        for scale, result in zip(SCALES, results)
     ]
     print(
         format_table(
@@ -85,25 +86,21 @@ def main() -> None:
         )
     )
 
-    baseline, worst = points[0], points[-1]
+    baseline, worst = results[0], results[-1]
     print()
     print(
-        f"  scale {worst.scale:.0f} vs synchronous: "
-        f"{worst.messages / max(baseline.messages, 1):.2f}x messages, "
-        f"time-avg error {baseline.time_avg_error:.4f} -> {worst.time_avg_error:.4f}"
+        f"  scale {SCALES[-1]:.0f} vs synchronous: "
+        f"{worst.total_messages / max(baseline.total_messages, 1):.2f}x messages, "
+        f"time-avg error {time_averaged_relative_error(baseline.records):.4f} -> "
+        f"{time_averaged_relative_error(worst.records):.4f}"
     )
 
     fifo, reordered = (
-        run_latency_sweep(
-            lambda: DeterministicCounter(NUM_SITES, EPSILON),
-            updates,
-            epsilon=EPSILON,
-            scales=[8.0],
-            record_every=25,
-            seed=0,
-            preserve_order=preserve,
-        )[0]
-        for preserve in (True, False)
+        point.result
+        for point in Sweep(
+            BASE.with_overrides({"transport.scale": 8.0}),
+            {"transport.preserve_order": [True, False]},
+        ).run()
     )
     print()
     print("FIFO links versus adversarial reordering at scale 8:")
@@ -112,19 +109,13 @@ def main() -> None:
             ["ordering", "messages", "time-avg err", "violation frac", "reordered"],
             [
                 [
-                    "per-link fifo",
-                    fifo.messages,
-                    round(fifo.time_avg_error, 4),
-                    round(fifo.violation_fraction, 3),
-                    fifo.staleness.reordered,
-                ],
-                [
-                    "reordering",
-                    reordered.messages,
-                    round(reordered.time_avg_error, 4),
-                    round(reordered.violation_fraction, 3),
-                    reordered.staleness.reordered,
-                ],
+                    label,
+                    result.total_messages,
+                    round(time_averaged_relative_error(result.records), 4),
+                    round(result.violation_fraction(EPSILON), 3),
+                    result.staleness.reordered,
+                ]
+                for label, result in (("per-link fifo", fifo), ("reordering", reordered))
             ],
         )
     )

@@ -25,9 +25,7 @@ from repro.analysis.bounds import (
 from repro.analysis.experiments import (
     TrackerComparison,
     compare_trackers,
-    measure_columnar_throughput,
     measure_engine_throughput,
-    run_tracker_on_stream,
     repeat_variability,
 )
 from repro.analysis.fitting import GrowthFit, fit_growth
@@ -40,10 +38,8 @@ from repro.analysis.metrics import (
 )
 from repro.analysis.reporting import format_table
 from repro.analysis.staleness import (
-    LatencySweepPoint,
     StalenessSummary,
     error_over_time,
-    run_latency_sweep,
     summarize_staleness,
     time_averaged_relative_error,
 )
@@ -62,9 +58,7 @@ __all__ = [
     "single_site_message_bound",
     "TrackerComparison",
     "compare_trackers",
-    "measure_columnar_throughput",
     "measure_engine_throughput",
-    "run_tracker_on_stream",
     "repeat_variability",
     "GrowthFit",
     "fit_growth",
@@ -74,10 +68,8 @@ __all__ = [
     "root_traffic_fraction",
     "summarize_trials",
     "format_table",
-    "LatencySweepPoint",
     "StalenessSummary",
     "error_over_time",
-    "run_latency_sweep",
     "summarize_staleness",
     "time_averaged_relative_error",
 ]

@@ -1,39 +1,38 @@
 """Small experiment driver shared by benchmarks, examples and tests.
 
-The driver answers the two questions every experiment asks:
+It answers three questions experiments ask:
 
-* "run this tracker on this stream with ``k`` sites — how wrong was it and
-  how much did it talk?" (:func:`run_tracker_on_stream`,
-  :func:`compare_trackers`), and
+* "run these trackers on this stream with ``k`` sites — how wrong were they
+  and how much did they talk?" (:func:`compare_trackers`, which takes
+  tracker factories, so it also compares trackers no spec can name);
+* "how much faster is the spec's engine than per-update dispatch?"
+  (:func:`measure_engine_throughput`, which takes a
+  :class:`~repro.api.RunSpec` and builds through it);
 * "what is the (expected) variability of this stream class at this length?"
   (:func:`repeat_variability`).
+
+Grids of runs over tracker names, topologies, transports or latency scales
+are a :class:`~repro.api.Sweep` over a :class:`~repro.api.RunSpec`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from repro.core.variability import variability
 from repro.exceptions import ConfigurationError, ProtocolError
-from repro.monitoring.runner import (
-    TrackingResult,
-    run_tracking,
-    run_tracking_arrays,
-)
-from repro.monitoring.tree import build_tree_network
-from repro.streams.assignment import AssignmentPolicy, RoundRobinAssignment, assign_sites
+from repro.monitoring.runner import run_tracking, run_tracking_arrays
+from repro.streams.assignment import assign_sites
 from repro.streams.model import StreamSpec
 
 __all__ = [
     "TrackerComparison",
-    "run_tracker_on_stream",
     "compare_trackers",
     "measure_engine_throughput",
-    "measure_columnar_throughput",
     "repeat_variability",
 ]
 
@@ -62,54 +61,25 @@ class TrackerComparison:
     messages_per_variability: float
 
 
-def run_tracker_on_stream(
-    factory,
-    spec: StreamSpec,
-    num_sites: int,
-    policy: Optional[AssignmentPolicy] = None,
-    record_every: int = 1,
-    batched: Optional[bool] = None,
-    shards: int = 1,
-    sharding=None,
-) -> TrackingResult:
-    """Distribute a stream over ``num_sites`` sites and run one tracker on it.
-
-    With ``shards > 1`` the tracker runs as a two-level sharded hierarchy
-    (:mod:`repro.monitoring.sharding`): the reported totals then include the
-    shard-to-root hops on top of the shard-local traffic.
-    """
-    updates = assign_sites(spec, num_sites, policy or RoundRobinAssignment())
-    network = build_tree_network(
-        factory, fanouts=[shards] if shards > 1 else [], sharding=sharding
-    )
-    return run_tracking(network, updates, record_every=record_every, batched=batched)
-
-
 def compare_trackers(
     factories: Mapping[str, object],
     spec: StreamSpec,
     num_sites: int,
     epsilon: float,
-    policy: Optional[AssignmentPolicy] = None,
     record_every: int = 1,
-    batched: Optional[bool] = None,
-    shards: int = 1,
-    sharding=None,
 ) -> List[TrackerComparison]:
     """Run several trackers on the same distributed stream and tabulate them.
+
+    The stream is spread over the sites round robin, and each factory tracks
+    it on a fresh flat network (``factory.track``).  Factories rather than
+    tracker names, so a caller can compare a tracker no spec can name.
 
     Args:
         factories: Mapping from display name to tracker factory.
         spec: The stream to track.
         num_sites: Number of sites ``k``.
         epsilon: Error parameter used for violation accounting.
-        policy: Site-assignment policy (round robin by default).
         record_every: Per-step recording stride passed to the runner.
-        batched: Delivery-engine selector passed to the runner (``None`` =
-            auto, ``True`` = batched fast path, ``False`` = per-update).
-        shards: Coordinator shards; above 1 every tracker runs as a sharded
-            hierarchy and its totals include the shard-to-root hops.
-        sharding: Site-to-shard partition policy (contiguous by default).
 
     Returns:
         One :class:`TrackerComparison` per factory, in input order.
@@ -117,19 +87,10 @@ def compare_trackers(
     if not factories:
         raise ConfigurationError("factories must not be empty")
     stream_variability = variability(spec.deltas, start=spec.start)
+    updates = assign_sites(spec, num_sites)
     comparisons = []
     for name, factory in factories.items():
-        result = run_tracker_on_stream(
-            factory,
-            spec,
-            num_sites,
-            policy=policy,
-            record_every=record_every,
-            batched=batched,
-            shards=shards,
-            sharding=sharding,
-        )
-        summary = result.summary(epsilon)
+        summary = factory.track(updates, record_every=record_every).summary(epsilon)
         comparisons.append(
             TrackerComparison(
                 name=name,
@@ -145,121 +106,76 @@ def compare_trackers(
     return comparisons
 
 
-def measure_engine_throughput(
-    factory,
-    updates: Sequence,
-    record_every: int = 20_000,
-    shards: int = 1,
-) -> Tuple[float, float, float]:
-    """Time both runner engines on the same updates and verify they agree.
+def measure_engine_throughput(spec) -> Tuple[float, float, float]:
+    """Time per-update dispatch against a spec's engine and verify they agree.
 
-    Runs the per-update engine, then the batched engine, on ``updates``
-    (which must be a materialised sequence so both runs see the same data
-    and ``len()`` is known for the rate).  Raises
-    :class:`~repro.exceptions.ProtocolError` if the engines disagree on
-    message totals, bit totals or any recorded estimate — they are
-    bit-for-bit equivalent by contract, so a divergence is always a bug.
-
-    With ``shards > 1`` both engines drive a fresh sharded hierarchy
-    (:mod:`repro.monitoring.sharding`).  Recorded estimates and the merged
-    *shard-local* counters must still agree exactly; the shard-to-root hop
-    count is excluded from the check because estimate pushes happen per
-    delivery event, and the engines legitimately batch deliveries
-    differently (see the push-granularity note in the sharding module).
+    ``spec`` is a synchronous :class:`~repro.api.RunSpec` with
+    ``engine='batched'`` (a generated source) or ``engine='arrays'`` (a trace
+    source).  Each arm runs on a fresh ``spec.build()``: the per-update arm
+    replays the built updates (a trace's columns as
+    :class:`~repro.types.Update` objects) through
+    :func:`~repro.monitoring.runner.run_tracking`, the other arm runs the
+    spec's engine.  Only the two runner calls are timed; no build or stream
+    generation is.  Raises :class:`~repro.exceptions.ProtocolError` if the
+    engines disagree on any recorded estimate or on the message or bit
+    totals of the sites' own channels (``local_stats`` of a tree, ``stats``
+    of a flat network) — they are bit-for-bit equivalent by contract, so a
+    divergence is always a bug.  A tree's hops above its leaves are left
+    out: estimates are pushed upward once per delivery call, and the
+    engines deliver at different granularities.
 
     Returns:
-        ``(per_update_rate, batched_rate, speedup)`` in updates/second and
+        ``(per_update_rate, engine_rate, speedup)`` in updates/second and
         the wall-clock ratio between the two engines.
 
     Used by both the throughput benchmark (``benchmarks/
     test_bench_e17_throughput.py``) and ``python -m repro throughput`` so
     the two tables cannot drift apart.
     """
-    fanouts = [shards] if shards > 1 else []
-
-    def run(batched: bool):
-        network = build_tree_network(factory, fanouts=fanouts)
-        begin = time.perf_counter()
-        result = run_tracking(
-            network, updates, record_every=record_every, batched=batched
+    engine = spec.canonical_engine()
+    if engine not in ("batched", "arrays"):
+        raise ConfigurationError(
+            "measure_engine_throughput times per-update dispatch against "
+            f"engine='batched' or 'arrays', got engine={spec.engine!r}"
         )
-        seconds = time.perf_counter() - begin
-        local = network.local_stats if fanouts else network.stats
-        return result, local, seconds
-
-    slow, slow_local, slow_seconds = run(False)
-    fast, fast_local, fast_seconds = run(True)
-    agree = (
-        slow_local.messages == fast_local.messages
-        and slow_local.bits == fast_local.bits
-        and [r.estimate for r in slow.records] == [r.estimate for r in fast.records]
-    )
-    if not agree:
+    slow_seconds, slow_totals, n = _time_engine(spec, per_update=True)
+    fast_seconds, fast_totals, _ = _time_engine(spec, per_update=False)
+    if slow_totals != fast_totals:
         raise ProtocolError(
-            "batched and per-update engines disagree on the same stream; "
+            f"{engine} and per-update engines disagree on the same workload; "
             "this violates the equivalence contract — please report"
         )
-    n = len(updates)
     return n / slow_seconds, n / fast_seconds, slow_seconds / fast_seconds
 
 
-def measure_columnar_throughput(
-    factory,
-    trace,
-    record_every: int = 20_000,
-    shards: int = 1,
-) -> Tuple[float, float, float]:
-    """Time the per-update engine against the columnar array engine.
+def _time_engine(spec, per_update: bool) -> Tuple[float, tuple, int]:
+    """Build ``spec`` afresh and time one runner call on it.
 
-    The columnar counterpart of :func:`measure_engine_throughput` for
-    replayed traces (:class:`repro.streams.io.TraceColumns`): the baseline
-    replays the trace as :class:`~repro.types.Update` objects through the
-    per-update engine, the fast run feeds the arrays straight into
-    :func:`repro.monitoring.runner.run_tracking_arrays`.  The engines must
-    agree bit-for-bit on message totals, bit totals and every recorded
-    estimate — a divergence raises
-    :class:`~repro.exceptions.ProtocolError`.
-
-    Returns:
-        ``(per_update_rate, arrays_rate, speedup)`` in updates/second.
+    Returns the call's wall time, the run's agreement totals (local message
+    and bit totals, recorded estimates) and the number of updates.
     """
-    def build_network():
-        return build_tree_network(factory, fanouts=[shards] if shards > 1 else [])
-
-    updates = trace.to_updates()
+    built = spec.build()
+    network, columns = built.network, built.columns
+    updates = built.updates
+    if per_update and columns is not None:
+        updates = columns.to_updates()
     begin = time.perf_counter()
-    slow = run_tracking(
-        build_network(), updates, record_every=record_every, batched=False
-    )
-    slow_seconds = time.perf_counter() - begin
-    begin = time.perf_counter()
-    fast = run_tracking_arrays(
-        build_network(),
-        trace.times,
-        trace.sites,
-        trace.deltas,
-        record_every=record_every,
-    )
-    fast_seconds = time.perf_counter() - begin
-    agree = (
-        slow.total_messages == fast.total_messages
-        and slow.total_bits == fast.total_bits
-        and [r.estimate for r in slow.records] == [r.estimate for r in fast.records]
-    )
-    if not agree and shards > 1:
-        # Sharded root-hop counts legitimately differ between delivery
-        # granularities (see the push-granularity note in the sharding
-        # module); estimates must still match exactly.
-        agree = [r.estimate for r in slow.records] == [
-            r.estimate for r in fast.records
-        ]
-    if not agree:
-        raise ProtocolError(
-            "columnar and per-update engines disagree on the same trace; "
-            "this violates the equivalence contract — please report"
+    if columns is None or per_update:
+        result = run_tracking(
+            network, updates, record_every=spec.record_every, batched=not per_update
         )
-    n = len(trace)
-    return n / slow_seconds, n / fast_seconds, slow_seconds / fast_seconds
+    else:
+        result = run_tracking_arrays(
+            network,
+            columns.times,
+            columns.sites,
+            columns.deltas,
+            record_every=spec.record_every,
+        )
+    seconds = time.perf_counter() - begin
+    local = network.local_stats if hasattr(network, "local_stats") else network.stats
+    totals = (local.messages, local.bits, [r.estimate for r in result.records])
+    return seconds, totals, len(columns) if columns is not None else len(updates)
 
 
 def repeat_variability(

@@ -1,12 +1,9 @@
 """Declarative run specification: one entry point over every axis.
 
-Four scaling PRs left the repo with a combinatorial front door: three
-runners (:func:`~repro.monitoring.runner.run_tracking`,
-:func:`~repro.monitoring.runner.run_tracking_arrays`,
-:func:`~repro.asynchrony.runner.run_tracking_async`), three network
-builders, and a CLI that re-plumbs the same knobs per subcommand.
-:class:`RunSpec` composes the five orthogonal axes the repo already
-implements behind one serializable dataclass:
+:class:`RunSpec` composes the five orthogonal axes the repo implements
+behind one serializable dataclass, and it is the one place a network is
+wired: the CLI's engine-aware subcommands, :class:`~repro.api.Sweep`, the
+analysis harnesses and the live service all build through it.
 
 * **source** — a named stream generator distributed over ``k`` sites by a
   named assignment policy, or a recorded columnar trace file (CSV or
@@ -21,15 +18,18 @@ implements behind one serializable dataclass:
   columnar array replay (one engine for every topology; a tree builds only
   the sites its trace touches), or ``auto``.
 
-The lifecycle is ``validate() -> build() -> run()``: validation centralizes
-every cross-axis combination check that used to live scattered across the
-runners and the CLI (arrays x async, trace x engine, shards bounds, unknown
-names), :meth:`RunSpec.build` returns the fully wired network plus the
-materialized workload, and :meth:`RunSpec.run` dispatches to the matching
-legacy runner — bit-for-bit identical to calling it by hand
-(``tests/test_api_equivalence.py``).  :meth:`RunSpec.to_dict` /
-:meth:`RunSpec.from_dict` round-trip the whole scenario through JSON, which
-is what ``python -m repro run --config spec.json`` executes.
+The lifecycle is ``validate() -> build() -> run()``: validation holds
+every cross-axis combination check (arrays x async, trace x engine, shards
+bounds, unknown names), :meth:`RunSpec.build` returns the fully wired
+network plus the materialized workload, and :meth:`RunSpec.run`
+dispatches to the matching runner
+(:func:`~repro.monitoring.runner.run_tracking`,
+:func:`~repro.monitoring.runner.run_tracking_arrays` or
+:func:`~repro.asynchrony.runner.run_tracking_async`) — bit-for-bit
+identical to calling it by hand (``tests/test_api_equivalence.py``).
+:meth:`RunSpec.to_dict` / :meth:`RunSpec.from_dict` round-trip the whole
+scenario through JSON, which is what ``python -m repro run --config
+spec.json`` executes.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ def _build_sawtooth(n, seed, **params):
 
 
 #: Stream generators addressable from a spec: ``name -> (n, seed, **params)``.
-#: Shared with the CLI (``repro.cli.STREAM_GENERATORS``) so the vocabulary
-#: cannot drift between the two surfaces.
+#: The CLI's ``--stream`` choices are this registry
+#: (``repro.cli.STREAM_GENERATORS`` is bound to it).
 STREAM_REGISTRY = {
     "monotone": _build_monotone,
     "nearly_monotone": _build_nearly_monotone,
@@ -169,11 +169,11 @@ TRACKER_NAMES = (
 #: Stream-to-site assignment policies addressable from a spec.
 ASSIGNMENT_NAMES = ("round_robin", "blocked", "random", "skewed", "single_site")
 
-#: Latency models addressable from a spec (async transport only).  The
-#: concrete model for a positive ``scale`` matches the CLI's ``latency``
-#: subcommand and :func:`repro.analysis.staleness.run_latency_sweep`:
-#: ``constant`` is a fixed delay, ``uniform`` is jitter on
-#: ``[scale/2, 3*scale/2]``, ``heavytail`` is a Pareto tail around the scale.
+#: Latency models addressable from a spec (async transport only), the
+#: CLI ``latency`` subcommand's ``--model`` choices.  The concrete model
+#: for a positive ``scale``: ``constant`` is a fixed delay, ``uniform`` is
+#: jitter on ``[scale/2, 3*scale/2]``, ``heavytail`` is a Pareto tail
+#: around the scale.
 LATENCY_NAMES = ("zero", "constant", "uniform", "heavytail")
 
 #: Site-to-shard partition strategies addressable from a spec.
@@ -954,20 +954,16 @@ class RunSpec:
 
     # -- wiring --------------------------------------------------------------
 
-    def build(self, columns: Optional[TraceColumns] = None) -> "BuiltRun":
+    def build(self) -> "BuiltRun":
         """Validate, then wire the network and materialize the workload.
 
         Returns a :class:`BuiltRun` holding the fully wired (flat or
         sharded, sync or async) network plus the update list or trace
         columns, ready to run — or to instrument first (benchmarks override
         per-site kernels on ``built.network`` before calling
-        ``built.run()``).
-
-        Args:
-            columns: Already-loaded trace columns to reuse for a trace
-                source instead of re-reading ``source.trace`` from disk —
-                for callers running several specs over one trace (the CLI's
-                tracker sweep).  Ignored for generator sources.
+        ``built.run()``).  A trace source's columns come from the
+        process-wide trace cache (:meth:`SourceSpec.load_columns`), so
+        several specs over one trace open it once.
         """
         self.validate()
         if self.source.live:
@@ -979,12 +975,11 @@ class RunSpec:
         engine = self.canonical_engine()
         stream: Optional[StreamSpec] = None
         updates: Optional[list] = None
+        columns: Optional[TraceColumns] = None
         if self.source.trace is not None:
-            if columns is None:
-                columns = self.source.load_columns()
+            columns = self.source.load_columns()
             num_sites = int(columns.sites.max()) + 1 if len(columns) else 1
         else:
-            columns = None
             stream = self.source.build_stream()
             updates = assign_sites(
                 stream, self.source.sites, self.source.build_assignment()

@@ -13,6 +13,7 @@ nothing more than a list of specs plus a convenience runner.
 from __future__ import annotations
 
 import atexit
+import functools
 import itertools
 import json
 import os
@@ -21,7 +22,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.api.spec import RunSpec
 from repro.exceptions import ConfigurationError
@@ -30,19 +31,22 @@ from repro.monitoring.runner import TrackingResult
 __all__ = ["Sweep", "SweepError", "SweepPoint", "shutdown_sweep_pool"]
 
 
-def _run_spec_payload(payload: dict) -> Tuple[bool, object]:
-    """Worker-process entry point: rebuild one grid point's spec and run it.
+def _run_spec_payload(
+    payload: dict, measure: Callable[[RunSpec], object] = RunSpec.run
+) -> Tuple[bool, object]:
+    """Worker-process entry point: rebuild one grid point's spec and measure it.
 
     Module-level (not a closure) so it pickles under the spawn start method;
-    the spec travels as its serialized dict.  Returns ``(True, result)`` on
-    success and ``(False, formatted_traceback)`` on failure — an exception
-    object would cross the process boundary stripped of its child-side
-    traceback (and some don't pickle at all), so the text crosses instead
-    and the parent re-raises it as a :class:`SweepError` that names the
-    failing spec.
+    the spec travels as its serialized dict, and ``measure`` (a module-level
+    function of a spec, :meth:`RunSpec.run` by default) by import path.
+    Returns ``(True, value)`` on success and ``(False, formatted_traceback)``
+    on failure — an exception object would cross the process boundary
+    stripped of its child-side traceback (and some don't pickle at all), so
+    the text crosses instead and the parent reports it against the failing
+    spec.
     """
     try:
-        return True, RunSpec.from_dict(payload).run()
+        return True, measure(RunSpec.from_dict(payload))
     except BaseException:
         return False, traceback.format_exc()
 
@@ -118,6 +122,53 @@ def shutdown_sweep_pool() -> None:
 
 
 atexit.register(shutdown_sweep_pool)
+
+
+def _map_in_pool(
+    specs: Sequence[RunSpec],
+    workers: int,
+    measure: Callable[[RunSpec], object] = RunSpec.run,
+) -> List[Tuple[bool, object]]:
+    """Measure every spec in the shared sweep pool; outcomes in spec order.
+
+    The one pool path: :meth:`Sweep.run` with ``workers > 1``, and the CLI's
+    multi-config ``run`` and ``throughput --workers``, all come through
+    here.  Specs are shipped in chunks, the pool is reused while its width
+    and traces stay the same, its initializer pre-opens every trace the
+    specs reference, and a broken pool is dropped.  Each outcome is
+    :func:`_run_spec_payload`'s ``(ok, value or child traceback)`` pair.
+    """
+    payloads = [spec.to_dict() for spec in specs]
+    pool_width = min(workers, len(specs))
+    traces = tuple(
+        sorted(
+            {
+                (
+                    str(pathlib.Path(spec.source.trace).resolve()),
+                    bool(spec.source.mmap),
+                )
+                for spec in specs
+                if spec.source.trace is not None
+            }
+        )
+    )
+    # ~4 chunks per worker: large enough to amortise task pickling,
+    # small enough to keep the pool balanced when run times vary.
+    chunksize = max(1, len(specs) // (pool_width * 4))
+    pool = _sweep_pool(pool_width, traces)
+    try:
+        return list(
+            pool.map(
+                functools.partial(_run_spec_payload, measure=measure),
+                payloads,
+                chunksize=chunksize,
+            )
+        )
+    except BrokenProcessPool:
+        # A dead worker poisons the whole executor; drop it so the next
+        # call gets a fresh pool instead of the same broken one.
+        shutdown_sweep_pool()
+        raise
 
 
 class SweepError(RuntimeError):
@@ -262,39 +313,11 @@ class Sweep:
                 SweepPoint(overrides=overrides, spec=spec, result=spec.run())
                 for overrides, spec in expanded
             ]
-        payloads = [spec.to_dict() for _, spec in expanded]
-        pool_width = min(workers, len(expanded))
-        traces = tuple(
-            sorted(
-                {
-                    (
-                        str(pathlib.Path(spec.source.trace).resolve()),
-                        bool(spec.source.mmap),
-                    )
-                    for _, spec in expanded
-                    if spec.source.trace is not None
-                }
-            )
-        )
-        # ~4 chunks per worker: large enough to amortise task pickling,
-        # small enough to keep the pool balanced when run times vary.
-        chunksize = max(1, len(expanded) // (pool_width * 4))
-        pool = _sweep_pool(pool_width, traces)
-        try:
-            outcomes = list(
-                pool.map(_run_spec_payload, payloads, chunksize=chunksize)
-            )
-        except BrokenProcessPool:
-            # A dead worker poisons the whole executor; drop it so the next
-            # run() gets a fresh pool instead of the same broken one.
-            shutdown_sweep_pool()
-            raise
+        outcomes = _map_in_pool([spec for _, spec in expanded], workers)
         points = []
-        for (overrides, spec), payload, (ok, value) in zip(
-            expanded, payloads, outcomes
-        ):
+        for (overrides, spec), (ok, value) in zip(expanded, outcomes):
             if not ok:
-                raise SweepError(overrides, payload, value)
+                raise SweepError(overrides, spec.to_dict(), value)
             points.append(SweepPoint(overrides=overrides, spec=spec, result=value))
         return points
 

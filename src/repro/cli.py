@@ -34,18 +34,20 @@ engine.  ``tracking``, ``throughput`` and ``latency`` all accept
 (:mod:`repro.monitoring.sharding`) instead of the flat star; ``tracking``
 and ``latency`` additionally accept ``--levels``/``--fanout`` to run the
 recursive L-level monitoring tree (:mod:`repro.monitoring.tree` —
-``--shards S`` is exactly ``--levels 2 --fanout S``), and ``run``,
-``latency`` and ``throughput`` accept ``--workers`` to spread independent
-grid points over a process pool.
+``--shards S`` is exactly ``--levels 2 --fanout S``).
 
-Every engine-aware subcommand is a thin shim over the unified experiment
-API (:mod:`repro.api`): one spec-builder maps the shared argument
-vocabulary onto a :class:`~repro.api.RunSpec` and the handlers sweep
-whichever axis their table varies.  ``run`` closes the loop: any scenario
+``tracking``, ``throughput`` and ``latency`` are presets of the unified
+experiment API (:mod:`repro.api`): one function maps their flags onto
+a :class:`~repro.api.RunSpec`, and each table is a :class:`~repro.api.Sweep`
+of it — over the tracker names, over site counts × tracker names (each
+point timed by :func:`repro.analysis.measure_engine_throughput`), or over
+``transport.scale``.  ``run`` closes the loop: any scenario
 saved as JSON (``RunSpec.save``, or written by hand — see
 ``examples/specs/``) executes with ``python -m repro run --config
 spec.json``, with ``--set field.path=value`` overrides for smoke-sized
 replays (``--summary-out`` writes the JSON to a file instead of stdout).
+``run``, ``latency`` and ``throughput`` accept ``--workers`` to spread
+independent points over the shared sweep pool of :mod:`repro.api.sweep`.
 ``serve`` turns a spec into a long-lived service: a live tracker fed over a
 TCP line protocol, scraped at ``/metrics`` and ``/status``
 (:mod:`repro.observability`).
@@ -57,7 +59,7 @@ import argparse
 import json
 import sys
 import threading
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.api import (
     STREAM_REGISTRY,
@@ -68,24 +70,21 @@ from repro.api import (
     TrackerSpec,
     TransportSpec,
 )
+from repro.api.sweep import _map_in_pool
 from repro.analysis import format_table, measure_engine_throughput
 from repro.analysis.bounds import deterministic_message_bound
 from repro.core import DeterministicCounter, variability
 from repro.core.frequencies import FrequencyTracker, HashReducer, run_frequency_tracking
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.lowerbounds import DeterministicFlipFamily, IndexReduction, TranscriptTracer
 from repro.streams import ItemStreamConfig, zipfian_item_stream
-from repro.streams.model import StreamSpec
 
 __all__ = ["main", "build_parser", "STREAM_GENERATORS"]
 
-#: Stream classes selectable from the command line — the spec registry's
-#: vocabulary (:data:`repro.api.STREAM_REGISTRY`), re-exposed under the
-#: historical ``(n, seed) -> StreamSpec`` calling convention.
-STREAM_GENERATORS: Dict[str, Callable[[int, int], StreamSpec]] = {
-    name: (lambda n, seed, _build=builder: _build(n, seed))
-    for name, builder in STREAM_REGISTRY.items()
-}
+#: Stream classes selectable from the command line: the spec registry
+#: itself (:data:`repro.api.STREAM_REGISTRY`), ``name -> (n, seed) ->
+#: StreamSpec``.
+STREAM_GENERATORS = STREAM_REGISTRY
 
 #: Tracker axis every ``tracking`` table sweeps, with display labels.
 _TRACKING_TABLE = (
@@ -99,6 +98,12 @@ _TRACKING_TABLE = (
 #: The one delivery-engine vocabulary every subcommand shares
 #: ("per-update" and "perupdate" are interchangeable spellings).
 ENGINE_CHOICES = ["auto", "per-update", "perupdate", "batched", "arrays"]
+
+#: The engine ``--engine auto`` selects on each subcommand that takes it.
+_AUTO_ENGINE = {"tracking": "auto", "throughput": "batched", "latency": "per-update"}
+
+#: Trackers every ``throughput`` table measures.
+_THROUGHPUT_TRACKERS = ["deterministic", "randomized"]
 
 
 def _add_engine_option(parser: argparse.ArgumentParser, extra: str = "") -> None:
@@ -176,19 +181,19 @@ def _add_trace_option(parser: argparse.ArgumentParser) -> None:
 def _resolve_engine(parser: argparse.ArgumentParser, args: argparse.Namespace) -> str:
     """Normalise and validate the shared ``--engine``/``--trace`` options.
 
-    Returns one of ``auto``, ``perupdate``, ``batched`` or ``arrays``;
-    invalid combinations (``arrays`` without a trace file, a trace file
-    without the ``arrays`` engine, ``--mmap`` on a CSV trace) exit through
-    ``parser.error`` with an actionable message.
+    Returns one of ``auto``, ``per-update``, ``batched`` or ``arrays`` (the
+    spec's spelling); invalid combinations (``arrays`` without a trace
+    file, a trace file without the ``arrays`` engine, ``--mmap`` on a CSV
+    trace) exit through ``parser.error`` with an actionable message.
     """
-    engine = {"per-update": "perupdate"}.get(args.engine, args.engine)
+    engine = {"perupdate": "per-update"}.get(args.engine, args.engine)
     trace = getattr(args, "trace", None)
     if engine == "arrays" and args.command == "latency":
         parser.error(
             "the arrays engine replays traces synchronously; latency drives "
             "the asynchronous transport — choose per-update or batched"
         )
-    if engine == "perupdate" and args.command == "throughput":
+    if engine == "per-update" and args.command == "throughput":
         parser.error(
             "per-update dispatch is the baseline every throughput row is "
             "measured against; choose batched or arrays as the measured engine"
@@ -212,13 +217,6 @@ def _resolve_engine(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         if not str(trace).endswith(".npz"):
             parser.error("--mmap applies to binary .npz traces only")
     return engine
-
-
-def _load_cli_trace(args: argparse.Namespace):
-    """Load ``--trace`` for the arrays engine, honouring ``--mmap``."""
-    from repro.streams import load_trace
-
-    return load_trace(args.trace, mmap_mode="r" if args.mmap else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -540,95 +538,120 @@ def _command_variability(args: argparse.Namespace) -> str:
     return format_table(["n", "v(n)", "v(n)/n", "f(n)"], rows)
 
 
-def _cli_spec(args: argparse.Namespace, engine: str = "auto") -> RunSpec:
-    """The one spec-builder behind every engine-aware subcommand.
+def _cli_spec(args: argparse.Namespace) -> RunSpec:
+    """The one :class:`~repro.api.RunSpec` of ``tracking``, ``throughput`` or ``latency``.
 
-    Maps the shared argument vocabulary (``--stream``/``--length``/
-    ``--sites``/``--seed``, ``--trace``/``--mmap``, ``--shards``,
-    ``--engine`` and the latency knobs where present) onto a
-    :class:`~repro.api.RunSpec`; subcommand handlers then sweep whichever
-    axis their table varies instead of re-plumbing the knobs by hand.
+    Maps each subcommand's flags onto :class:`~repro.api.RunSpec` fields in
+    one place: the source (``--trace``/``--mmap``, or ``--stream``,
+    ``--length``, ``--sites``, ``--seed`` and throughput's blocked
+    ``--block-length``), the tracker (``--algorithm``, ``--epsilon``), the
+    topology (``--shards``, ``--levels``/``--fanout``), latency's
+    asynchronous transport flags, ``--engine`` and ``--record-every``.
+    The handlers then sweep whichever axis their table varies;
+    ``throughput`` sweeps ``--sites``, so its base spec takes the first.
     """
-    trace = getattr(args, "trace", None)
-    if engine == "arrays" and trace is not None:
+    if getattr(args, "trace", None) is not None:
+        source = SourceSpec(stream=None, trace=args.trace, mmap=args.mmap)
+    elif args.command == "throughput":
         source = SourceSpec(
-            stream=None, trace=trace, mmap=getattr(args, "mmap", False)
+            stream="random_walk",
+            length=args.length,
+            seed=args.seed,
+            sites=args.sites[0],
+            assignment="blocked",
+            assignment_params={"block_length": args.block_length},
         )
     else:
         source = SourceSpec(
-            stream=args.stream,
-            length=args.length,
+            stream=args.stream, length=args.length, seed=args.seed, sites=args.sites
+        )
+    transport = TransportSpec()
+    if args.command == "latency":
+        transport = TransportSpec(
+            mode="async",
+            latency=args.model,
+            preserve_order=not args.allow_reordering,
             seed=args.seed,
-            sites=args.sites,
+            loss=args.loss,
+            loss_model=args.loss_model,
+            loss_seed=args.loss_seed,
+            repair=args.repair,
         )
     return RunSpec(
         source=source,
         tracker=TrackerSpec(
-            name="deterministic", epsilon=args.epsilon, seed=args.seed
+            name=getattr(args, "algorithm", "deterministic"),
+            epsilon=args.epsilon,
+            seed=args.seed,
         ),
         topology=TopologySpec(
-            shards=getattr(args, "shards", 1),
+            shards=args.shards,
             levels=getattr(args, "levels", None),
             fanout=getattr(args, "fanout", None),
         ),
-        engine=engine,
+        transport=transport,
+        engine=_AUTO_ENGINE[args.command] if args.engine == "auto" else args.engine,
+        record_every=getattr(args, "record_every", 1),
     )
 
 
-def _tracking_rows(
-    base: RunSpec, epsilon: float, stream_variability: float, columns=None
-):
-    """Sweep the tracker axis of ``base`` and tabulate one row per tracker.
+def _run_points(
+    specs: Sequence[RunSpec],
+    labels: Sequence[str],
+    workers: int,
+    measure: Callable[[RunSpec], object] = RunSpec.run,
+) -> list:
+    """``measure`` every spec, serially or in the shared sweep pool, in order.
 
-    ``columns`` carries an already-loaded trace for arrays-engine sweeps, so
-    the file is parsed once, not once per tracker.
+    A spec that fails in a pool worker is a usage error naming its label,
+    with the worker's last traceback line instead of the traceback.
     """
-    sweep = Sweep(base, {"tracker.name": [name for name, _ in _TRACKING_TABLE]})
-    labels = dict(_TRACKING_TABLE)
-    rows: List[List[object]] = []
-    for overrides, spec in sweep.specs():
-        summary = spec.build(columns=columns).run().summary(epsilon)
-        rows.append(
-            [
-                labels[overrides["tracker.name"]],
-                summary["total_messages"],
-                round(summary["max_relative_error"], 4),
-                round(summary["violation_fraction"], 4),
-                round(summary["total_messages"] / max(stream_variability, 1.0), 2),
-            ]
-        )
-    return rows
+    if workers == 1 or len(specs) <= 1:
+        return [measure(spec) for spec in specs]
+    values = []
+    for label, (ok, value) in zip(labels, _map_in_pool(specs, workers, measure)):
+        if not ok:
+            raise ReproError(
+                f"{label} failed in its worker process: "
+                f"{value.strip().splitlines()[-1]}"
+            )
+        values.append(value)
+    return values
 
 
 def _command_tracking(args: argparse.Namespace) -> str:
-    if args.engine == "arrays":
-        trace = _load_cli_trace(args)
-        num_sites = int(trace.sites.max()) + 1
-        v = variability(trace.deltas)
-        base = _cli_spec(args, engine="arrays")
-        base.record_every = max(1, len(trace) // 5_000)
-        rows = _tracking_rows(base, args.epsilon, v, columns=trace)
+    base = _cli_spec(args)
+    if base.source.trace is not None:
+        trace = base.source.load_columns()
+        n, v = len(trace), variability(trace.deltas)
         header = (
-            f"trace={args.trace} n={len(trace)} k={num_sites} eps={args.epsilon} "
-            f"{_topology_label(args)} engine=arrays{' (mmap)' if args.mmap else ''} "
-            f"v={v:.1f}"
+            f"trace={args.trace} n={n} k={int(trace.sites.max()) + 1} "
+            f"eps={args.epsilon} {_topology_label(args)} "
+            f"engine=arrays{' (mmap)' if args.mmap else ''} v={v:.1f}"
         )
-        table = format_table(
-            ["algorithm", "messages", "max rel err", "violation frac", "msgs / v"],
-            rows,
+    else:
+        stream = base.source.build_stream()
+        n, v = args.length, variability(stream.deltas, start=stream.start)
+        header = (
+            f"stream={args.stream} n={n} k={args.sites} eps={args.epsilon} "
+            f"{_topology_label(args)} "
+            f"v={v:.1f} "
+            f"(deterministic bound {deterministic_message_bound(args.sites, args.epsilon, v):.0f})"
         )
-        return header + "\n" + table
-    base = _cli_spec(args, engine=args.engine)
-    base.record_every = max(1, args.length // 5_000)
-    stream = base.source.build_stream()
-    v = variability(stream.deltas, start=stream.start)
-    rows = _tracking_rows(base, args.epsilon, v)
-    header = (
-        f"stream={args.stream} n={args.length} k={args.sites} eps={args.epsilon} "
-        f"{_topology_label(args)} "
-        f"v={v:.1f} "
-        f"(deterministic bound {deterministic_message_bound(args.sites, args.epsilon, v):.0f})"
-    )
+    base.record_every = max(1, n // 5_000)
+    labels = dict(_TRACKING_TABLE)
+    rows: List[List[object]] = []
+    for point in Sweep(base, {"tracker.name": list(labels)}).run():
+        summary = point.result.summary(args.epsilon)
+        rows.append(
+            [
+                labels[point.spec.tracker.name],
+                summary["total_messages"],
+                round(summary["max_relative_error"], 4),
+                round(summary["violation_fraction"], 4),
+                round(summary["total_messages"] / max(v, 1.0), 2),
+            ]
+        )
     table = format_table(
         ["algorithm", "messages", "max rel err", "violation frac", "msgs / v"], rows
     )
@@ -640,14 +663,12 @@ def _command_run(args: argparse.Namespace) -> str:
 
     One ``--config`` prints the single run's JSON object (overrides applied,
     spec echoed, result summarised with its provenance stamp).  Several
-    ``--config`` files run as a batch — a process pool when ``--workers``
-    exceeds 1, since each spec runs on its own fresh network — and print a
-    JSON array in argument order.
+    ``--config`` files run as a batch — in the shared sweep pool when
+    ``--workers`` exceeds 1, since each spec runs on its own fresh network —
+    and print a JSON array in argument order.
     """
-    if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
     if args.profile is not None and args.workers > 1:
-        raise SystemExit(
+        raise ConfigurationError(
             "--profile traces the interpreter it runs in; child processes "
             "would escape it — drop --workers to profile"
         )
@@ -679,27 +700,10 @@ def _command_run(args: argparse.Namespace) -> str:
                 file=sys.stderr,
             )
             stats.sort_stats("cumulative").print_stats(15)
-    elif args.workers > 1 and len(specs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.api.sweep import _run_spec_payload
-
-        with ProcessPoolExecutor(
-            max_workers=min(args.workers, len(specs))
-        ) as pool:
-            outcomes = list(
-                pool.map(_run_spec_payload, [spec.to_dict() for spec in specs])
-            )
-        results = []
-        for config, (ok, value) in zip(args.configs, outcomes):
-            if not ok:
-                raise SystemExit(
-                    f"run for --config {config} failed in its worker "
-                    f"process:\n{value}"
-                )
-            results.append(value)
     else:
-        results = [spec.run() for spec in specs]
+        results = _run_points(
+            specs, [f"--config {config}" for config in args.configs], args.workers
+        )
     payloads = []
     for config, spec, result in zip(args.configs, specs, results):
         epsilon = spec.tracker.epsilon
@@ -741,7 +745,7 @@ def _parse_overrides(items: Sequence[str]) -> dict:
     for item in items:
         path, sep, raw = item.partition("=")
         if not sep or not path:
-            raise SystemExit(
+            raise ConfigurationError(
                 f"--set expects FIELD=VALUE (dotted field path), got {item!r}"
             )
         try:
@@ -838,109 +842,56 @@ def _command_frequency(args: argparse.Namespace) -> str:
     )
 
 
-def _throughput_point(payload: dict) -> List[object]:
-    """Measure one (site count, tracker) cell of the throughput grid.
-
-    Module-level so ``repro throughput --workers`` can map the grid over a
-    process pool: the payload is plain JSON-compatible data, the row comes
-    back ready for the table.
-    """
-    source = SourceSpec(**payload["source"])
-    tracker = TrackerSpec(**payload["tracker"])
-    slow_rate, fast_rate, speedup = measure_engine_throughput(
-        tracker.build_factory(source.sites),
-        source.build_updates(),
-        record_every=payload["record_every"],
-        shards=payload["shards"],
-    )
-    return [
-        tracker.name,
-        source.sites,
-        round(slow_rate),
-        round(fast_rate),
-        round(speedup, 2),
-    ]
-
-
 def _command_throughput(args: argparse.Namespace) -> str:
-    from repro.analysis import measure_columnar_throughput
-
-    rows: List[List[object]] = []
-    if args.engine == "arrays":
-        trace = _load_cli_trace(args)
-        num_sites = int(trace.sites.max()) + 1
-        for tracker_name in ("deterministic", "randomized"):
-            tracker = TrackerSpec(
-                name=tracker_name, epsilon=args.epsilon, seed=args.seed
-            )
-            slow_rate, fast_rate, speedup = measure_columnar_throughput(
-                tracker.build_factory(num_sites),
-                trace,
-                record_every=args.record_every,
-                shards=args.shards,
-            )
-            rows.append(
-                [
-                    tracker_name,
-                    num_sites,
-                    round(slow_rate),
-                    round(fast_rate),
-                    round(speedup, 2),
-                ]
-            )
+    base = _cli_spec(args)
+    if base.source.trace is not None:
+        trace = base.source.load_columns()
+        trace_sites = int(trace.sites.max()) + 1
+        grid = {"tracker.name": _THROUGHPUT_TRACKERS}
         header = (
             f"trace={args.trace} n={len(trace)} eps={args.epsilon} "
             f"shards={args.shards} record_every={args.record_every} "
             f"engine=arrays{' (mmap)' if args.mmap else ''}"
         )
-        return header + "\n" + format_table(
-            ["algorithm", "k", "per-update up/s", "arrays up/s", "speedup"], rows
-        )
-    payloads = [
-        {
-            "source": {
-                "stream": "random_walk",
-                "length": args.length,
-                "seed": args.seed,
-                "sites": num_sites,
-                "assignment": "blocked",
-                "assignment_params": {"block_length": args.block_length},
-            },
-            "tracker": {
-                "name": tracker_name,
-                "epsilon": args.epsilon,
-                "seed": args.seed,
-            },
-            "record_every": args.record_every,
-            "shards": args.shards,
-        }
-        for num_sites in args.sites
-        for tracker_name in ("deterministic", "randomized")
-    ]
-    if args.workers > 1 and len(payloads) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Wall-clock rates measured in sibling processes are comparable as
-        # long as the pool is not oversubscribed; grid order is preserved.
-        with ProcessPoolExecutor(
-            max_workers=min(args.workers, len(payloads))
-        ) as pool:
-            rows.extend(pool.map(_throughput_point, payloads))
     else:
-        rows.extend(_throughput_point(payload) for payload in payloads)
-    header = (
-        f"random_walk n={args.length} eps={args.epsilon} "
-        f"block={args.block_length} shards={args.shards} "
-        f"record_every={args.record_every}"
+        trace_sites = None
+        grid = {"source.sites": args.sites, "tracker.name": _THROUGHPUT_TRACKERS}
+        header = (
+            f"random_walk n={args.length} eps={args.epsilon} "
+            f"block={args.block_length} shards={args.shards} "
+            f"record_every={args.record_every}"
+        )
+    points = Sweep(base, grid).specs()
+    # Wall-clock rates measured in sibling processes are comparable as
+    # long as the pool is not oversubscribed; grid order is preserved.
+    rates = _run_points(
+        [spec for _, spec in points],
+        [f"throughput point {overrides}" for overrides, _ in points],
+        args.workers,
+        measure_engine_throughput,
     )
+    rows = [
+        [
+            spec.tracker.name,
+            overrides.get("source.sites", trace_sites),
+            round(slow_rate),
+            round(fast_rate),
+            round(speedup, 2),
+        ]
+        for (overrides, spec), (slow_rate, fast_rate, speedup) in zip(points, rates)
+    ]
     return header + "\n" + format_table(
-        ["algorithm", "k", "per-update up/s", "batched up/s", "speedup"], rows
+        ["algorithm", "k", "per-update up/s", f"{base.engine} up/s", "speedup"], rows
     )
 
 
 def _command_trace(args: argparse.Namespace) -> str:
     from repro.streams import columns_from_updates, save_trace_csv, save_trace_npz
 
+    if args.block_length < 0:
+        raise ConfigurationError(
+            f"--block-length must be >= 0 (0 = round-robin), got {args.block_length}"
+        )
     source = SourceSpec(
         stream=args.stream,
         length=args.length,
@@ -968,40 +919,18 @@ def _command_trace(args: argparse.Namespace) -> str:
 def _command_latency(args: argparse.Namespace) -> str:
     from repro.analysis.staleness import time_averaged_relative_error
 
-    base = RunSpec(
-        source=SourceSpec(
-            stream=args.stream,
-            length=args.length,
-            seed=args.seed,
-            sites=args.sites,
-        ),
-        tracker=TrackerSpec(
-            name=args.algorithm, epsilon=args.epsilon, seed=args.seed
-        ),
-        topology=TopologySpec(
-            shards=args.shards, levels=args.levels, fanout=args.fanout
-        ),
-        transport=TransportSpec(
-            mode="async",
-            latency=args.model,
-            preserve_order=not args.allow_reordering,
-            seed=args.seed,
-            loss=args.loss,
-            loss_model=args.loss_model,
-            loss_seed=args.loss_seed,
-            repair=args.repair,
-        ),
-        engine="batched" if args.engine == "batched" else "per-update",
-        record_every=args.record_every,
+    base = _cli_spec(args)
+    points = Sweep(base, {"transport.scale": args.scales}).specs()
+    results = _run_points(
+        [spec for _, spec in points],
+        [f"latency scale {overrides['transport.scale']}" for overrides, _ in points],
+        args.workers,
     )
     rows = []
-    for point in Sweep(base, {"transport.scale": args.scales}).run(
-        workers=args.workers
-    ):
-        result = point.result
+    for (overrides, _), result in zip(points, results):
         summary = result.summary(args.epsilon)
         row = [
-            point.overrides["transport.scale"],
+            overrides["transport.scale"],
             summary["total_messages"],
             round(summary["max_relative_error"], 4),
             round(summary["violation_fraction"], 4),
@@ -1018,7 +947,7 @@ def _command_latency(args: argparse.Namespace) -> str:
     header = (
         f"stream={args.stream} n={args.length} k={args.sites} eps={args.epsilon} "
         f"{_topology_label(args)} algo={args.algorithm} model={args.model} "
-        f"engine={'batched' if args.engine == 'batched' else 'per-update'} "
+        f"engine={base.engine} "
         f"order={'reordering' if args.allow_reordering else 'fifo'} seed={args.seed}"
     )
     if args.loss > 0.0:
@@ -1094,6 +1023,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command in _ENGINE_COMMANDS:
         args.engine = _resolve_engine(parser, args)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
         output = _COMMANDS[args.command](args)
     except ReproError as exc:
         # Bad input (an invalid spec field, a stream of length 0, a tree

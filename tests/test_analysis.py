@@ -15,7 +15,6 @@ from repro.analysis import (
     random_walk_variability_bound,
     randomized_message_bound,
     repeat_variability,
-    run_tracker_on_stream,
     single_site_message_bound,
     summarize_trials,
 )
@@ -164,11 +163,6 @@ class TestReporting:
 
 
 class TestExperiments:
-    def test_run_tracker_on_stream(self):
-        spec = random_walk_stream(500, seed=1)
-        result = run_tracker_on_stream(NaiveCounter(2), spec, num_sites=2)
-        assert result.total_messages == 500
-
     def test_compare_trackers(self):
         spec = monotone_stream(2_000)
         comparisons = compare_trackers(

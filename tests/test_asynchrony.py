@@ -22,14 +22,14 @@ from repro.asynchrony import (
 )
 from repro.analysis.staleness import (
     error_over_time,
-    run_latency_sweep,
     summarize_staleness,
     time_averaged_relative_error,
 )
+from repro.api import RunSpec, SourceSpec, Sweep, TrackerSpec, TransportSpec
 from repro.baselines import CormodeCounter, NaiveCounter
 from repro.cli import main
 from repro.core import DeterministicCounter, RandomizedCounter
-from repro.exceptions import ConfigurationError, ProtocolError
+from repro.exceptions import ConfigurationError, ProtocolError, SpecError
 from repro.monitoring import build_tree_network, run_tracking
 from repro.monitoring.messages import BROADCAST_SITE, COORDINATOR, Message, MessageKind
 from repro.streams import assign_sites, monotone_stream, random_walk_stream
@@ -406,34 +406,41 @@ class TestStalenessAnalysis:
         assert time_averaged_relative_error([]) == 0.0
         assert time_averaged_relative_error(records[:1]) == 0.0
 
-    def test_sweep_zero_scale_matches_synchronous_engine(self):
-        updates = assign_sites(random_walk_stream(1_500, seed=7), 4)
-        points = run_latency_sweep(
-            lambda: DeterministicCounter(4, 0.1),
-            updates,
-            epsilon=0.1,
-            scales=[0.0, 8.0],
+    @staticmethod
+    def _latency_spec(**source):
+        return RunSpec(
+            source=SourceSpec(stream="random_walk", **source),
+            tracker=TrackerSpec(name="deterministic", epsilon=0.1),
+            transport=TransportSpec(mode="async", latency="uniform", seed=0),
             record_every=10,
-            seed=0,
         )
+
+    def test_sweep_zero_scale_matches_synchronous_engine(self):
+        base = self._latency_spec(length=1_500, seed=7, sites=4)
+        zero, stale = (
+            point.result
+            for point in Sweep(base, {"transport.scale": [0.0, 8.0]}).run()
+        )
+        updates = assign_sites(random_walk_stream(1_500, seed=7), 4)
         sync = DeterministicCounter(4, 0.1).track(updates, record_every=10)
-        assert points[0].messages == sync.total_messages
-        assert points[0].bits == sync.total_bits
-        assert points[0].max_relative_error == sync.max_relative_error()
-        assert points[0].staleness.mean_age == 0.0
+        assert zero.total_messages == sync.total_messages
+        assert zero.total_bits == sync.total_bits
+        assert zero.max_relative_error() == sync.max_relative_error()
+        assert zero.staleness.mean_age == 0.0
         # Latency costs accuracy: the stale run is strictly more wrong.
-        assert points[1].time_avg_error > points[0].time_avg_error
-        assert points[1].staleness.mean_age > 0.0
+        assert time_averaged_relative_error(
+            stale.records
+        ) > time_averaged_relative_error(zero.records)
+        assert stale.staleness.mean_age > 0.0
 
     def test_sweep_validates_inputs(self):
+        base = self._latency_spec(length=10, sites=1)
         with pytest.raises(ConfigurationError):
-            run_latency_sweep(
-                lambda: NaiveCounter(1), [], epsilon=0.1, scales=[]
-            )
-        with pytest.raises(ConfigurationError):
-            run_latency_sweep(
-                lambda: NaiveCounter(1), [], epsilon=0.1, scales=[-1.0]
-            )
+            Sweep(base, {"transport.scale": []})
+        # A negative scale fails spec validation, which names the field
+        # (a SpecError, not a ConfigurationError).
+        with pytest.raises(SpecError, match=r"transport\.scale"):
+            Sweep(base, {"transport.scale": [-1.0]}).run()
 
 
 class TestLatencyCli:

@@ -127,6 +127,38 @@ class TestCli:
             pattern,
         )
 
+    @pytest.mark.parametrize(
+        "argv, pattern",
+        [
+            (["run", "--config", "{spec}", "--workers", "0"], r"--workers"),
+            (
+                ["run", "--config", "{spec}", "--config", "{spec}", "--profile",
+                 "{tmp}/p.pstats", "--workers", "2"],
+                r"--profile.*--workers",
+            ),
+            (["serve", "--config", "{live}", "--set", "source.sites"], r"--set.*FIELD=VALUE"),
+            (["throughput", "--workers", "0"], r"--workers"),
+            (["latency", "--workers", "0"], r"--workers"),
+            (
+                ["latency", "--length", "200", "--sites", "2", "--scales", "0", "2",
+                 "--loss", "1.5", "--workers", "2"],
+                r"latency scale 0\.0 failed in its worker process: .*transport\.loss",
+            ),
+            (["trace", "--block-length", "-1", "--out", "{tmp}/t.csv"], r"--block-length"),
+        ],
+    )
+    def test_bad_flag_value_fails_cleanly(self, capsys, tmp_path, argv, pattern):
+        specs = pathlib.Path(__file__).resolve().parent.parent / "examples" / "specs"
+        fill = {
+            "{spec}": str(specs / "quickstart.json"),
+            "{live}": str(specs / "live_service.json"),
+            "{tmp}": str(tmp_path),
+        }
+        for key, value in fill.items():
+            argv = [arg.replace(key, value) for arg in argv]
+        _assert_clean_error(capsys, argv, pattern)
+        assert not (tmp_path / "t.csv").exists()
+
     def test_variability_command_prints_table(self, capsys):
         exit_code = main(["variability", "--stream", "monotone", "--lengths", "100", "500"])
         captured = capsys.readouterr().out
@@ -469,10 +501,27 @@ class TestCliRunSpec:
         assert str(dump) in captured.err
         assert dump.exists() and dump.stat().st_size > 0
 
-    def test_run_rejects_malformed_set(self, tmp_path):
+    def test_run_rejects_malformed_set(self, tmp_path, capsys):
         path, _ = self._write_spec(tmp_path)
-        with pytest.raises(SystemExit, match="FIELD=VALUE"):
-            main(["run", "--config", path, "--set", "source.length"])
+        _assert_clean_error(
+            capsys, ["run", "--config", path, "--set", "source.length"], "FIELD=VALUE"
+        )
+
+    def test_run_batch_failure_names_its_config(self, tmp_path, capsys):
+        from repro.api import RunSpec, SourceSpec
+
+        good, _ = self._write_spec(tmp_path)
+        bad = tmp_path / "missing_trace.json"
+        RunSpec(
+            source=SourceSpec(stream=None, trace=str(tmp_path / "missing.csv")),
+            engine="arrays",
+        ).save(bad)
+        _assert_clean_error(
+            capsys,
+            ["run", "--config", good, "--config", str(bad), "--workers", "2"],
+            r"--config .*missing_trace\.json failed in its worker process: "
+            r".*missing\.csv does not exist",
+        )
 
     def test_run_rejects_unknown_spec_field(self, tmp_path, capsys):
         import json as _json
