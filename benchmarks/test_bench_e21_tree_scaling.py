@@ -19,8 +19,8 @@ aggregation node only ever talks to its own fan-out many children, whatever
   with the updates/s figure recorded in the benchmark JSON; per-level
   message counts must decrease strictly from the leaves to the root.
 * **Million-site lazy point.**  A 4-level tree over ``k = 10^6`` sites
-  driven by the columnar engine
-  (:func:`repro.monitoring.runner.run_tracking_arrays`): leaves are built
+  driven by the columnar engine (:func:`repro.monitoring.runner.run_tracking`
+  over :class:`~repro.streams.io.TraceColumns`): leaves are built
   lazily (:func:`build_tree_network`), so construction costs O(touched
   leaves) and the whole point — build plus run — fits the CI smoke budget.
   The leaf-materialisation count is asserted structurally: only leaves the
@@ -41,8 +41,9 @@ from bench_support import check, size
 from repro.analysis import root_traffic_fraction
 from repro.api import RunSpec, SourceSpec, TopologySpec, TrackerSpec
 from repro.core import DeterministicCounter
-from repro.monitoring.runner import run_tracking_arrays
+from repro.monitoring.runner import run_tracking
 from repro.monitoring.tree import build_tree_network
+from repro.streams.io import TraceColumns
 
 LENGTH = size(120_000, 4_000)
 NUM_SITES = size(4_096, 512)
@@ -165,6 +166,7 @@ def _million_columns(length=None, block=None, seed=37):
 
 def _measure_million():
     times, sites, deltas = _million_columns()
+    columns = TraceColumns(times, sites, deltas)
     build_start = time.perf_counter()
     network = build_tree_network(
         DeterministicCounter(MILLION_SITES, EPSILON),
@@ -174,9 +176,7 @@ def _measure_million():
     )
     build_seconds = time.perf_counter() - build_start
     run_start = time.perf_counter()
-    result = run_tracking_arrays(
-        network, times, sites, deltas, record_every=size(20_000, 2_000)
-    )
+    result = run_tracking(network, columns, record_every=size(20_000, 2_000))
     run_seconds = time.perf_counter() - run_start
     leaves = network.leaves()
     materialized = sum(1 for leaf in leaves if leaf.network.num_built_sites)
@@ -197,6 +197,7 @@ def _measure_high_touch():
     times, sites, deltas = _million_columns(
         length=HIGH_TOUCH_LENGTH, block=HIGH_TOUCH_BLOCK, seed=41
     )
+    columns = TraceColumns(times, sites, deltas)
     network = build_tree_network(
         DeterministicCounter(MILLION_SITES, EPSILON),
         levels=4,
@@ -204,9 +205,7 @@ def _measure_high_touch():
         epsilon_split="geometric",
     )
     start = time.perf_counter()
-    result = run_tracking_arrays(
-        network, times, sites, deltas, record_every=size(20_000, 2_000)
-    )
+    result = run_tracking(network, columns, record_every=size(20_000, 2_000))
     seconds = time.perf_counter() - start
     built_sites = sum(leaf.network.num_built_sites for leaf in network.leaves())
     return {

@@ -28,7 +28,7 @@ import time
 from bench_support import check, size
 
 from repro.api import SourceSpec, TrackerSpec
-from repro.asynchrony import UniformLatency, async_channels, run_tracking_async
+from repro.asynchrony import UniformLatency, async_channels
 from repro.faults import FaultPlan
 from repro.monitoring import build_tree_network, run_tracking
 from repro.observability import TraceLog, instrument_network
@@ -83,12 +83,7 @@ def _timed_run(updates, engine, batched, config):
         instrument_network(network, trace=TraceLog(capacity=4096))
     gc.collect()  # no config pays for the garbage of the run before it
     start = time.perf_counter()
-    if engine == "lossy-async":
-        result = run_tracking_async(network, updates, record_every=RECORD_EVERY)
-    else:
-        result = run_tracking(
-            network, updates, record_every=RECORD_EVERY, batched=batched
-        )
+    result = run_tracking(network, updates, record_every=RECORD_EVERY, batched=batched)
     elapsed = time.perf_counter() - start
     fingerprint = (
         [(r.time, r.estimate, r.true_value) for r in result.records],

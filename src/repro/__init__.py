@@ -77,7 +77,6 @@ from repro.asynchrony import (
     HeavyTailLatency,
     UniformLatency,
     async_channels,
-    run_tracking_async,
 )
 from repro.api import (
     BuiltRun,
@@ -96,7 +95,6 @@ from repro.monitoring import (
     TrackingResult,
     build_tree_network,
     run_tracking,
-    run_tracking_arrays,
 )
 from repro.sketches import AmsF2Sketch, CountMinSketch, CRPrecis
 from repro.streams import (
@@ -165,7 +163,6 @@ __all__ = [
     "TrackingResult",
     "build_tree_network",
     "run_tracking",
-    "run_tracking_arrays",
     # asynchrony
     "AsyncChannel",
     "AsyncTrackingResult",
@@ -173,7 +170,6 @@ __all__ = [
     "UniformLatency",
     "HeavyTailLatency",
     "async_channels",
-    "run_tracking_async",
     # streams
     "assign_sites",
     "monotone_stream",

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.variability import variability
 from repro.exceptions import ConfigurationError, ProtocolError
-from repro.monitoring.runner import run_tracking, run_tracking_arrays
+from repro.monitoring.runner import run_tracking
 from repro.streams.assignment import assign_sites
 from repro.streams.model import StreamSpec
 
@@ -155,27 +155,18 @@ def _time_engine(spec, per_update: bool) -> Tuple[float, tuple, int]:
     and bit totals, recorded estimates) and the number of updates.
     """
     built = spec.build()
-    network, columns = built.network, built.columns
-    updates = built.updates
-    if per_update and columns is not None:
-        updates = columns.to_updates()
+    network = built.network
+    workload = built.updates if built.columns is None else built.columns
+    if per_update and built.columns is not None:
+        workload = workload.to_updates()
     begin = time.perf_counter()
-    if columns is None or per_update:
-        result = run_tracking(
-            network, updates, record_every=spec.record_every, batched=not per_update
-        )
-    else:
-        result = run_tracking_arrays(
-            network,
-            columns.times,
-            columns.sites,
-            columns.deltas,
-            record_every=spec.record_every,
-        )
+    result = run_tracking(
+        network, workload, record_every=spec.record_every, batched=not per_update
+    )
     seconds = time.perf_counter() - begin
     local = network.local_stats if hasattr(network, "local_stats") else network.stats
     totals = (local.messages, local.bits, [r.estimate for r in result.records])
-    return seconds, totals, len(columns) if columns is not None else len(updates)
+    return seconds, totals, len(workload)
 
 
 def repeat_variability(

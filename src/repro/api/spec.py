@@ -22,11 +22,9 @@ The lifecycle is ``validate() -> build() -> run()``: validation holds
 every cross-axis combination check (arrays x async, trace x engine, shards
 bounds, unknown names), :meth:`RunSpec.build` returns the fully wired
 network plus the materialized workload, and :meth:`RunSpec.run`
-dispatches to the matching runner
-(:func:`~repro.monitoring.runner.run_tracking`,
-:func:`~repro.monitoring.runner.run_tracking_arrays` or
-:func:`~repro.asynchrony.runner.run_tracking_async`) — bit-for-bit
-identical to calling it by hand (``tests/test_api_equivalence.py``).
+hands the workload to the one runner,
+:func:`~repro.monitoring.runner.run_tracking` — bit-for-bit identical to
+calling it by hand (``tests/test_api_equivalence.py``).
 :meth:`RunSpec.to_dict` / :meth:`RunSpec.from_dict` round-trip the whole
 scenario through JSON, which is what ``python -m repro run --config
 spec.json`` executes.
@@ -53,11 +51,7 @@ from repro.baselines import (
 )
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.exceptions import ProtocolError, SpecError
-from repro.monitoring.runner import (
-    TrackingResult,
-    run_tracking,
-    run_tracking_arrays,
-)
+from repro.monitoring.runner import TrackingResult, run_tracking
 from repro.monitoring.sharding import (
     ContiguousSharding,
     ShardingPolicy,
@@ -1084,38 +1078,18 @@ class BuiltRun:
     num_sites: int
 
     def run(self) -> TrackingResult:
-        """Dispatch to the legacy runner matching the spec's axes.
+        """Run the workload through :func:`~repro.monitoring.runner.run_tracking`.
 
+        The engine name maps onto the runner's ``batched`` switch
+        (``arrays`` replays the trace columns, which always run batched).
         Every result leaves with ``result.provenance`` stamped (spec hash +
         library version), so any JSON written from it is self-certifying.
         """
-        record_every = self.spec.record_every
-        if self.spec.transport.mode == "async":
-            from repro.asynchrony import run_tracking_async
-
-            result = run_tracking_async(
-                self.network,
-                self.updates,
-                record_every=record_every,
-                batched=self.engine == "batched",
-            )
-        elif self.engine == "arrays":
-            result = run_tracking_arrays(
-                self.network,
-                self.columns.times,
-                self.columns.sites,
-                self.columns.deltas,
-                record_every=record_every,
-            )
-        else:
-            batched = {"auto": None, "batched": True, "per-update": False}[
-                self.engine
-            ]
-            result = run_tracking(
-                self.network,
-                self.updates,
-                record_every=record_every,
-                batched=batched,
-            )
+        result = run_tracking(
+            self.network,
+            self.updates if self.columns is None else self.columns,
+            record_every=self.spec.record_every,
+            batched={"batched": True, "per-update": False}.get(self.engine),
+        )
         result.provenance = self.spec.provenance()
         return result

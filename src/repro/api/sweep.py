@@ -299,6 +299,8 @@ class Sweep:
                 offending point).
 
         Raises:
+            ReproError: A grid point fails :meth:`RunSpec.validate`; with
+                ``workers > 1`` every point is validated before any ships.
             SweepError: A grid point raised in its worker process.  The
                 error carries the child's full traceback and the failing
                 spec's ``to_dict()`` for an in-process replay.
@@ -313,6 +315,10 @@ class Sweep:
                 SweepPoint(overrides=overrides, spec=spec, result=spec.run())
                 for overrides, spec in expanded
             ]
+        # A bad point fails here with its field-naming error, as it would
+        # serially, instead of as a SweepError after every point shipped.
+        for _, spec in expanded:
+            spec.validate()
         outcomes = _map_in_pool([spec for _, spec in expanded], workers)
         points = []
         for (overrides, spec), (ok, value) in zip(expanded, outcomes):

@@ -6,8 +6,10 @@ deterministic discrete-event scheduler (:mod:`repro.asynchrony.events`),
 pluggable latency models (:mod:`repro.asynchrony.latency`), a latency-aware
 :class:`AsyncChannel` that conforms to the synchronous channel's counting
 contract while holding messages in flight (:mod:`repro.asynchrony.channel`),
-and an event-driven runner that interleaves stream updates with deliveries
-on a virtual clock (:mod:`repro.asynchrony.runner`).
+and the :class:`AsyncTrackingResult` a run over them reports
+(:mod:`repro.asynchrony.runner`).  The one runner,
+:func:`repro.monitoring.runner.run_tracking`, interleaves stream updates with
+deliveries on the network's virtual clock.
 
 Existing algorithms — the Section 3 trackers and every baseline — run
 unmodified over this transport: :func:`async_channels` is the channel
@@ -19,6 +21,7 @@ latency-aware, optionally lossy)::
     network = build_tree_network(
         factory, fanouts=[4], channel_factory=async_channels([4], latency)
     )
+    result = run_tracking(network, updates, record_every=25)
 
 The
 coordinator close protocols complete when the last (possibly delayed) reply
@@ -40,11 +43,7 @@ from repro.asynchrony.latency import (
     LatencyModel,
     UniformLatency,
 )
-from repro.asynchrony.runner import (
-    AsyncTrackingResult,
-    async_channels,
-    run_tracking_async,
-)
+from repro.asynchrony.runner import AsyncTrackingResult, async_channels
 
 __all__ = [
     "AsyncChannel",
@@ -59,5 +58,4 @@ __all__ = [
     "UniformLatency",
     "AsyncTrackingResult",
     "async_channels",
-    "run_tracking_async",
 ]

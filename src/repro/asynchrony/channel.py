@@ -6,8 +6,8 @@ breakdown, optional transcript log) at *send* time, exactly like the
 synchronous channel — but delivery happens later: each message is held in
 flight and handed to its destination handler at a scheduled virtual time,
 ``send instant + sampled latency``.  The channel owns the virtual clock; the
-event-driven runner (:func:`repro.asynchrony.runner.run_tracking_async`)
-advances it as stream updates arrive and drains the queue between them.
+runner (:func:`repro.monitoring.runner.run_tracking`) advances it as stream
+updates arrive and drains the queue after the last one.
 
 Ordering semantics are explicit:
 

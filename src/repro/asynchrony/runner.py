@@ -1,45 +1,28 @@
-"""Event-driven runner: interleave stream updates with delayed deliveries.
+"""What an asynchronous run reports, and the transport that produces it.
 
-:func:`run_tracking_async` is the asynchronous counterpart of
-:func:`repro.monitoring.runner.run_tracking`.  Both consume any iterable of
-updates in time order and record the coordinator's estimate against the exact
-value at a configurable stride; the difference is the clock.  The
-asynchronous runner drives the channel's *virtual* clock: before the update
-at timestep ``t`` is handed to its site, every in-flight message due at or
-before ``t`` is delivered (in deterministic ``(due, send order)`` order), so
-protocol reactions and stream progress interleave exactly as they would on a
-network where delivery takes time.  After the last update the channel is
-drained, letting the coordinator settle on its final estimate.
-
-Under the zero-latency model every message is delivered inline at its send
-instant, the event queue stays empty, and the run is bit-for-bit identical —
-estimates, message counts, bit counts, transcript order — to the synchronous
-engine (``tests/test_async_equivalence.py``).
+:func:`repro.monitoring.runner.run_tracking` drives every network; over
+latency-aware channels it advances the virtual clock as the stream arrives,
+drains the in-flight messages after the last update and returns the
+:class:`AsyncTrackingResult` defined here: the synchronous result plus
+message-age, in-flight and reordering aggregates, the settled estimate and
+the reliability counters.  :func:`async_channels` is the channel factory that
+wires those latency-aware (optionally lossy) channels into a network of any
+shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from repro.analysis.staleness import StalenessSummary, summarize_staleness
+from repro.analysis.staleness import StalenessSummary
 from repro.asynchrony.channel import AsyncChannel
 from repro.asynchrony.latency import LatencyModel
-from repro.exceptions import ProtocolError
 from repro.faults.channel import FaultPlan, FaultyChannel
-from repro.monitoring.network import MonitoringNetwork
-from repro.monitoring.runner import (
-    TrackingResult,
-    _finish,
-    _run_batched,
-    _run_per_update,
-)
-from repro.monitoring.sharding import ShardedNetwork
-from repro.types import Update
+from repro.monitoring.runner import TrackingResult
 
 __all__ = [
     "AsyncTrackingResult",
-    "run_tracking_async",
     "async_channels",
 ]
 
@@ -163,87 +146,3 @@ def async_channels(
 
     channel_factory.fanouts = tuple(int(fan) for fan in fanouts)
     return channel_factory
-
-
-def run_tracking_async(
-    network: MonitoringNetwork,
-    updates: Iterable[Update],
-    record_every: int = 1,
-    drain: bool = True,
-    batched: bool = False,
-) -> AsyncTrackingResult:
-    """Run a distributed stream over the asynchronous transport.
-
-    Args:
-        network: A network wired over async channels: flat, or a tree's
-            :class:`~repro.monitoring.sharding.ShardedNetwork` whose every
-            channel is asynchronous (see :func:`async_channels`) — there
-            each child-to-parent hop is scheduled as one more latency leg
-            after the site-to-leaf one.
-        updates: The distributed stream, one update per timestep, in time
-            order; any iterable works and is consumed exactly once.
-        record_every: Record an estimate-vs-truth point every this many
-            timesteps (the final timestep is always recorded).  Records taken
-            while messages are in flight show the *stale* estimate — that is
-            the instrumentation this runner exists for.
-        drain: Deliver all remaining in-flight messages after the stream
-            ends (default).  Disable to inspect the undelivered backlog on
-            the channel instead.
-        batched: Opt into the bulk span engine: contiguous same-site runs
-            are segmented by the span kernel (exactly like the synchronous
-            batched engine) and each trigger-free span's count reports fly
-            as *one* prepaid in-flight event instead of one per message
-            (:meth:`AsyncChannel.send_prepaid_to_coordinator`), with
-            in-flight deliveries advanced at segment boundaries.  With zero
-            latency this is bit-for-bit the synchronous engine (the
-            existing equivalence contract); with real latency it models
-            delivery timing at span granularity — the transport-level
-            batching any real uplink performs — which is what lets latency
-            sweeps reach 10^7-update streams.  The default stays
-            per-update, the exact per-message transport model.
-
-    Returns:
-        An :class:`AsyncTrackingResult` with per-step records, total costs
-        and staleness aggregates.
-    """
-    channel = network.channel
-    if isinstance(network, ShardedNetwork):
-        # A tree: the network advances every node's clock and pushes fresh
-        # estimates up each latency leg — see ShardedNetwork.advance_to.  All
-        # underlying channels must be latency-aware.
-        if not all(isinstance(ch, AsyncChannel) for ch in channel.channels):
-            raise ProtocolError(
-                "run_tracking_async needs every shard channel and the root "
-                "channel to be asynchronous; build the network with "
-                "channel_factory=repro.asynchrony.async_channels(...) (use "
-                "run_tracking for synchronous channels)"
-            )
-        advance = network.advance_to
-        drain_all = network.drain
-    elif isinstance(channel, AsyncChannel):
-        advance = channel.advance_to
-        drain_all = channel.drain
-    else:
-        raise ProtocolError(
-            "run_tracking_async needs a network wired over an AsyncChannel; "
-            "build one with channel_factory=repro.asynchrony.async_channels"
-            "(...) (use run_tracking for synchronous channels)"
-        )
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
-    result = AsyncTrackingResult()
-    # The synchronous loops, with the virtual clock advanced to each update's
-    # (or each segment's first) timestep before it is delivered.
-    run = _run_batched if batched else _run_per_update
-    run(network, updates, record_every, result, advance=advance)
-    if drain:
-        drain_all()
-    stats = _finish(result, network)
-    result.staleness = summarize_staleness(channel)
-    result.final_clock = channel.now
-    result.final_estimate = network.estimate()
-    result.final_true_value = result.records[-1].true_value if result.records else 0
-    result.dropped = stats.dropped
-    result.retransmitted = stats.retransmitted
-    result.duplicates = stats.duplicates
-    return result

@@ -29,6 +29,7 @@ from repro.exceptions import ConfigurationError
 from repro.monitoring.coordinator import Coordinator
 from repro.monitoring.messages import BROADCAST_SITE, COORDINATOR, Message, MessageKind
 from repro.monitoring.network import MonitoringNetwork
+from repro.monitoring.runner import TrackerFactory
 from repro.monitoring.site import Site
 
 __all__ = ["CormodeSite", "CormodeCoordinator", "CormodeCounter"]
@@ -157,7 +158,7 @@ class CormodeCoordinator(Coordinator):
         )
 
 
-class CormodeCounter:
+class CormodeCounter(TrackerFactory):
     """Factory for the deterministic monotone baseline."""
 
     def __init__(self, num_sites: int, epsilon: float) -> None:
@@ -174,11 +175,3 @@ class CormodeCounter:
         coordinator = CormodeCoordinator(self.num_sites, self.epsilon)
         sites = [CormodeSite(i) for i in range(self.num_sites)]
         return MonitoringNetwork(coordinator, sites, channel=channel)
-
-    def track(self, updates, record_every: int = 1, batched=None):
-        """Run a distributed (monotone) stream through a fresh network."""
-        from repro.monitoring.runner import run_tracking
-
-        return run_tracking(
-            self.build_network(), updates, record_every=record_every, batched=batched
-        )

@@ -38,6 +38,7 @@ from repro.exceptions import ConfigurationError
 from repro.monitoring.coordinator import Coordinator
 from repro.monitoring.messages import BROADCAST_SITE, COORDINATOR, Message, MessageKind
 from repro.monitoring.network import MonitoringNetwork
+from repro.monitoring.runner import TrackerFactory
 from repro.monitoring.site import Site
 
 __all__ = ["HuangSite", "HuangCoordinator", "HuangCounter"]
@@ -199,7 +200,7 @@ class HuangCoordinator(Coordinator):
         )
 
 
-class HuangCounter:
+class HuangCounter(TrackerFactory):
     """Factory for the randomized monotone baseline."""
 
     def __init__(self, num_sites: int, epsilon: float, seed: Optional[int] = None) -> None:
@@ -221,11 +222,3 @@ class HuangCounter:
             for i in range(self.num_sites)
         ]
         return MonitoringNetwork(coordinator, sites, channel=channel)
-
-    def track(self, updates, record_every: int = 1, batched=None):
-        """Run a distributed insertion-only stream through a fresh network."""
-        from repro.monitoring.runner import run_tracking
-
-        return run_tracking(
-            self.build_network(), updates, record_every=record_every, batched=batched
-        )

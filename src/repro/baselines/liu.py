@@ -36,6 +36,7 @@ from repro.core.template import check_tracking_parameters
 from repro.monitoring.coordinator import Coordinator
 from repro.monitoring.messages import COORDINATOR, Message, MessageKind
 from repro.monitoring.network import MonitoringNetwork
+from repro.monitoring.runner import TrackerFactory
 from repro.monitoring.site import Site
 
 __all__ = ["LiuStyleSite", "LiuStyleCoordinator", "LiuStyleCounter"]
@@ -91,7 +92,7 @@ class LiuStyleCoordinator(Coordinator):
         return float(sum(self._drifts.values()))
 
 
-class LiuStyleCounter:
+class LiuStyleCounter(TrackerFactory):
     """Factory for the sampling baseline calibrated to coin-flip streams."""
 
     def __init__(self, num_sites: int, epsilon: float, seed: Optional[int] = None) -> None:
@@ -115,11 +116,3 @@ class LiuStyleCounter:
             for i in range(self.num_sites)
         ]
         return MonitoringNetwork(LiuStyleCoordinator(), sites, channel=channel)
-
-    def track(self, updates, record_every: int = 1, batched=None):
-        """Run a distributed stream through a fresh network."""
-        from repro.monitoring.runner import run_tracking
-
-        return run_tracking(
-            self.build_network(), updates, record_every=record_every, batched=batched
-        )

@@ -13,6 +13,7 @@ from repro.core.template import check_tracking_parameters
 from repro.monitoring.coordinator import Coordinator
 from repro.monitoring.messages import COORDINATOR, Message, MessageKind
 from repro.monitoring.network import MonitoringNetwork
+from repro.monitoring.runner import TrackerFactory
 from repro.monitoring.site import Site
 
 __all__ = ["NaiveSite", "NaiveCoordinator", "NaiveCounter"]
@@ -51,7 +52,7 @@ class NaiveCoordinator(Coordinator):
         return float(self._value)
 
 
-class NaiveCounter:
+class NaiveCounter(TrackerFactory):
     """Factory matching the interface of the Section 3 tracker factories."""
 
     def __init__(self, num_sites: int, epsilon: float = 0.1) -> None:
@@ -75,11 +76,3 @@ class NaiveCounter:
         sites are stateless, so a handoff just restores the sum.
         """
         network.coordinator._value = int(sum(values))
-
-    def track(self, updates, record_every: int = 1, batched=None):
-        """Run a distributed stream through a fresh naive network."""
-        from repro.monitoring.runner import run_tracking
-
-        return run_tracking(
-            self.build_network(), updates, record_every=record_every, batched=batched
-        )

@@ -24,6 +24,7 @@ from repro.exceptions import ConfigurationError
 from repro.monitoring.coordinator import Coordinator
 from repro.monitoring.messages import COORDINATOR, Message, MessageKind
 from repro.monitoring.network import MonitoringNetwork
+from repro.monitoring.runner import TrackerFactory
 from repro.monitoring.site import Site
 
 __all__ = ["StaticThresholdSite", "StaticThresholdCoordinator", "StaticThresholdCounter"]
@@ -73,7 +74,7 @@ class StaticThresholdCoordinator(Coordinator):
         return float(sum(self._drifts.values()))
 
 
-class StaticThresholdCounter:
+class StaticThresholdCounter(TrackerFactory):
     """Factory for the fixed-threshold ablation tracker."""
 
     def __init__(self, num_sites: int, threshold: int, epsilon: float = 0.1) -> None:
@@ -89,12 +90,4 @@ class StaticThresholdCounter:
         sites = [StaticThresholdSite(i, self.threshold) for i in range(self.num_sites)]
         return MonitoringNetwork(
             StaticThresholdCoordinator(), sites, channel=channel
-        )
-
-    def track(self, updates, record_every: int = 1, batched=None):
-        """Run a distributed stream through a fresh network."""
-        from repro.monitoring.runner import run_tracking
-
-        return run_tracking(
-            self.build_network(), updates, record_every=record_every, batched=batched
         )

@@ -41,6 +41,7 @@ from repro.monitoring.messages import (
     MessageKind,
 )
 from repro.monitoring.network import MonitoringNetwork
+from repro.monitoring.runner import TrackerFactory
 from repro.monitoring.site import Site
 
 __all__ = [
@@ -576,7 +577,7 @@ class BlockTrackingCoordinator(Coordinator, abc.ABC):
         """Estimation hook: reset per-block estimation state."""
 
 
-class BlockTrackerFactory(abc.ABC):
+class BlockTrackerFactory(TrackerFactory, abc.ABC):
     """Common factory interface for the Section 3 trackers.
 
     A factory bundles the problem parameters (``k``, ``eps``) and knows how to
@@ -656,24 +657,3 @@ class BlockTrackerFactory(abc.ABC):
             site.count_since_report = 0
             site.block_value_change = 0
             site.on_block_start(site.level)
-
-    def track(self, updates, record_every: int = 1, batched=None):
-        """Build a fresh network and run a distributed stream through it.
-
-        Args:
-            updates: Any iterable of :class:`repro.types.Update` (lists,
-                generators, lazy readers).
-            record_every: Passed through to
-                :func:`repro.monitoring.runner.run_tracking`.
-            batched: Delivery-engine selector, passed through to
-                :func:`repro.monitoring.runner.run_tracking`.
-
-        Returns:
-            The :class:`repro.monitoring.runner.TrackingResult` of the run.
-        """
-        from repro.monitoring.runner import run_tracking
-
-        network = self.build_network()
-        return run_tracking(
-            network, updates, record_every=record_every, batched=batched
-        )

@@ -1,18 +1,20 @@
 """The span-simulation kernel shared by every delivery engine.
 
-Four engines drive a tracking network today — per-update, batched, columnar
-and asynchronous, each over flat and tree topologies alike — and all of them
-lean on the same closed-form span algebra: a contiguous run of updates
-destined for one site is an alternation of *trigger-free spans* (no block
+Two engines drive a tracking network — per-update and batched (which also
+replays trace columns), over flat and tree topologies and synchronous and
+asynchronous channels alike — and both lean on the same closed-form span
+algebra: a contiguous run of updates destined for one site is an
+alternation of *trigger-free spans* (no block
 close can occur, so the block level and every threshold derived from it are
 fixed) and *block closes* (request/reply/broadcast exchanges whose messages
 touch known, idle peers).  This module extracts that algebra into one :class:`SpanKernel` so
 the engines cannot drift apart:
 
 * **Run segmentation** (:func:`segment_cuts`) — where a chunk of updates is
-  cut into deliverable segments.  Shared by ``run_tracking``'s batcher, the
-  columnar ``run_tracking_arrays`` cutter and the asynchronous batched
-  engine, so the bit-for-bit record contract is pinned in one place.
+  cut into deliverable segments.  ``run_tracking``'s batched engine cuts
+  every workload with it (update chunks and trace columns, over sync and
+  async channels alike), so the bit-for-bit record contract is pinned in
+  one place.
 * **Trigger arithmetic** (:meth:`SpanKernel.close_offset`) — the 1-based step
   offset at which a site's count report would fire the coordinator's block
   trigger, computed in closed form from the count threshold and the

@@ -51,11 +51,7 @@ from repro.monitoring.messages import (
     message_bits,
 )
 from repro.monitoring.network import MonitoringNetwork
-from repro.monitoring.runner import (
-    TrackingResult,
-    run_tracking,
-    run_tracking_arrays,
-)
+from repro.monitoring.runner import TrackingResult, run_tracking
 from repro.monitoring.sharding import (
     ContiguousSharding,
     RootAggregator,
@@ -93,7 +89,6 @@ __all__ = [
     "MonitoringNetwork",
     "TrackingResult",
     "run_tracking",
-    "run_tracking_arrays",
     "ContiguousSharding",
     "RootAggregator",
     "ShardCoordinator",

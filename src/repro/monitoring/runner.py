@@ -1,12 +1,17 @@
 """Simulation runner: drive a distributed stream through a tracking algorithm.
 
-The runner is the integration point used by the tests, examples and
-benchmarks.  It consumes any *iterable* of updates — a list, a generator, a
-file reader — one buffered chunk at a time, so memory stays ``O(records)``
-regardless of stream length and ``len()`` is never required.  It maintains
-the exact value ``f(t)`` alongside, records the coordinator's estimate and
-the cumulative communication cost at every recording point, and finally
-summarises error and cost statistics in a :class:`TrackingResult`.
+:func:`run_tracking` is the one runner, the integration point used by the
+tests, examples, benchmarks and the spec layer.  It drives every network — a
+flat star or a tree of any depth, over synchronous, asynchronous or lossy
+channels — and takes either workload: any *iterable* of updates (a list, a
+generator, a file reader), consumed one buffered chunk at a time so memory
+stays ``O(records)`` regardless of stream length and ``len()`` is never
+required; or a recorded trace's :class:`~repro.streams.io.TraceColumns`,
+replayed in one columnar pass without a single per-update object.  It
+maintains the exact value ``f(t)`` alongside, records the coordinator's
+estimate and the cumulative communication cost at every recording point,
+and finally summarises error and cost statistics in a
+:class:`TrackingResult`.
 
 Two delivery engines share identical protocol semantics:
 
@@ -18,30 +23,42 @@ Two delivery engines share identical protocol semantics:
   :meth:`~repro.monitoring.network.MonitoringNetwork.deliver_batch`, which
   lets sites absorb communication-free prefixes in bulk (NumPy cumulative
   sums instead of per-update condition checks).  Runs are split at recording
-  points so records are taken at exactly the same timesteps.
+  points so records are taken at exactly the same timesteps.  Trace columns
+  always take this engine.
 
 Both engines produce bit-for-bit identical estimates, message counts and bit
 counts; ``tests/test_batch_equivalence.py`` asserts this on every stream
 class the paper analyses.
+
+The transport comes from the network.  Over asynchronous channels the runner
+drives the *virtual* clock: before each update (per-update engine) or each
+segment (batched engine) every in-flight message due by then is delivered, in
+deterministic ``(due, send order)`` order, and after the last update the
+network is drained so the coordinator settles on its final estimate; the
+result is then an :class:`~repro.asynchrony.AsyncTrackingResult` with the
+staleness aggregates.  Under zero latency an asynchronous run is bit-for-bit
+the synchronous one (``tests/test_async_equivalence.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Union
 
 import numpy as np
 
-from repro.exceptions import ProtocolError
+from repro.exceptions import ConfigurationError, ProtocolError
 from repro.monitoring.history import EstimateHistory
 from repro.monitoring.network import MonitoringNetwork
+from repro.monitoring.sharding import ShardedNetwork
+from repro.streams.io import TraceColumns
 from repro.types import EstimateRecord, Update
 
 __all__ = [
+    "TrackerFactory",
     "TrackingResult",
     "run_tracking",
-    "run_tracking_arrays",
 ]
 
 #: Maximum number of updates buffered at once by the batched engine.  Bounds
@@ -244,9 +261,8 @@ def _run_per_update(
 ) -> None:
     """Original engine: one ``deliver_update`` dispatch per timestep.
 
-    ``advance`` hooks in the asynchronous engine: when given, it is called
-    with each update's timestep before the update is delivered (see
-    :func:`repro.asynchrony.runner.run_tracking_async`).
+    ``advance`` is the asynchronous network's clock hook: when given, it is
+    called with each update's timestep before the update is delivered.
     """
     true_value = 0
     last_time = 0
@@ -292,12 +308,12 @@ def _deliver_segments(
 ) -> tuple:
     """Deliver one columnar slice as contiguous same-site segments.
 
-    The single recording loop behind both array-driven engines: the batched
-    update-object engine feeds it one buffered chunk at a time, the columnar
-    trace engine feeds it the whole trace.  Segments are cut at site changes
-    *and* at recording points (the kernel's segmentation rule), so records
-    are taken at exactly the per-update engine's timesteps; ``advance``
-    hooks the asynchronous transport in at segment granularity.
+    The recording loop of the batched engine, fed one buffered chunk of an
+    update iterable at a time, or a whole trace's columns at once.  Segments
+    are cut at site changes *and* at recording points (the kernel's
+    segmentation rule), so records are taken at exactly the per-update
+    engine's timesteps; ``advance`` hooks the asynchronous transport in at
+    segment granularity.
 
     Args:
         times: Timestep column of the slice.
@@ -337,39 +353,48 @@ def _deliver_segments(
     return int(running[-1]), last_time, recorded_last
 
 
+def _update_chunks(updates: Iterable[Update]):
+    """The update iterable as ``(times, sites, deltas)`` column chunks.
+
+    Buffers at most :data:`_CHUNK_SIZE` updates at a time, which bounds the
+    batched engine's working memory independently of ``record_every``.
+    """
+    iterator = iter(updates)
+    while True:
+        chunk = list(islice(iterator, _CHUNK_SIZE))
+        if not chunk:
+            return
+        length = len(chunk)
+        yield (
+            np.fromiter((u.time for u in chunk), dtype=np.int64, count=length),
+            np.fromiter((u.site for u in chunk), dtype=np.int64, count=length),
+            np.fromiter((u.delta for u in chunk), dtype=np.int64, count=length),
+        )
+
+
 def _run_batched(
     network: MonitoringNetwork,
-    updates: Iterable[Update],
+    chunks,
     record_every: int,
     result: TrackingResult,
     advance=None,
 ) -> None:
     """Batched engine: contiguous same-site runs go through ``deliver_batch``.
 
-    Buffers the update iterable one bounded chunk at a time, converts each
-    chunk to columns and routes it through :func:`_deliver_segments` — the
-    same recording logic the columnar trace engine uses, so the two cannot
-    drift.  ``advance`` hooks in the asynchronous engine: when given, it is
-    called with the first timestep of every segment before the segment is
-    delivered, letting a virtual-clock transport deliver in-flight messages
-    at segment granularity (see
-    :func:`repro.asynchrony.runner.run_tracking_async`).
+    Routes each ``(times, sites, deltas)`` chunk through
+    :func:`_deliver_segments`: the bounded chunks of an update iterable
+    (:func:`_update_chunks`), or a trace's columns as one chunk, so the
+    columnar replay and the update-object engine cannot drift.  A segment is
+    also cut at every chunk boundary; on a tree, which pushes estimates
+    upward once per delivery call, that can add a push (see ROADMAP item 2).
+    ``advance`` is the asynchronous network's clock hook, called with the
+    first timestep of every segment before the segment is delivered.
     """
-    iterator = iter(updates)
     true_value = 0
     index = 0  # global index of the first update in the current chunk
     last_time = 0
-    seen_any = False
     recorded_last = False
-    while True:
-        chunk = list(islice(iterator, _CHUNK_SIZE))
-        if not chunk:
-            break
-        seen_any = True
-        length = len(chunk)
-        times = np.fromiter((u.time for u in chunk), dtype=np.int64, count=length)
-        sites = np.fromiter((u.site for u in chunk), dtype=np.int64, count=length)
-        deltas = np.fromiter((u.delta for u in chunk), dtype=np.int64, count=length)
+    for times, sites, deltas in chunks:
         true_value, last_time, recorded_last = _deliver_segments(
             network,
             times,
@@ -381,113 +406,156 @@ def _run_batched(
             true_value,
             advance=advance,
         )
-        index += length
-    if seen_any and not recorded_last:
+        index += len(times)
+    if index and not recorded_last:
         _record(result, network, last_time, true_value)
+
+
+def _virtual_clock(network):
+    """What advances and drains an asynchronous network's virtual time.
+
+    A tree is its own clock: :meth:`ShardedNetwork.advance_to` and
+    :meth:`ShardedNetwork.drain` walk every node and push fresh estimates up
+    each latency leg.  A flat network's clock is its channel.
+    """
+    if not isinstance(network, ShardedNetwork):
+        return network.channel
+    if any(channel.is_synchronous for channel in network.channel.channels):
+        raise ProtocolError(
+            "this tree mixes synchronous and asynchronous channels; wire every "
+            "node over one transport (channel_factory=repro.asynchrony."
+            "async_channels(...) for latency)"
+        )
+    return network
+
+
+def _settle(result, network, clock) -> None:
+    """Drain an asynchronous run, then read its totals and settled state."""
+    from repro.analysis.staleness import summarize_staleness
+
+    clock.drain()
+    stats = _finish(result, network)
+    result.staleness = summarize_staleness(network.channel)
+    result.final_clock = network.channel.now
+    result.final_estimate = network.estimate()
+    result.final_true_value = result.records[-1].true_value if result.records else 0
+    result.dropped = stats.dropped
+    result.retransmitted = stats.retransmitted
+    result.duplicates = stats.duplicates
 
 
 def run_tracking(
     network: MonitoringNetwork,
-    updates: Iterable[Update],
+    updates: Union[Iterable[Update], TraceColumns],
     record_every: int = 1,
     batched: Optional[bool] = None,
 ) -> TrackingResult:
     """Run a distributed stream through a network and collect per-step records.
 
     Args:
-        network: The wired coordinator/site network to drive.
+        network: The wired network to drive: flat, or a tree of any depth
+            (whose sites are built only when a segment reaches them), over
+            synchronous channels or over asynchronous ones at every node
+            (see :func:`repro.asynchrony.async_channels`).
         updates: The distributed stream, one update per timestep, in time
-            order.  Any iterable works — lists, generators, lazy readers —
-            and is consumed exactly once without ever calling ``len()``.
+            order.  Any iterable of :class:`~repro.types.Update` works —
+            lists, generators, lazy readers — and is consumed exactly once
+            without ever calling ``len()``.  A trace's
+            :class:`~repro.streams.io.TraceColumns` is replayed in one
+            columnar pass, with no per-update objects.
         record_every: Record an :class:`EstimateRecord` only every this many
             timesteps (the exact value and estimate are still checked at every
             recorded step).  Use values > 1 to keep memory small on very long
             streams; error statistics then refer to the recorded steps only.
-            The final timestep is always recorded.
+            The final timestep is always recorded.  Records taken while
+            messages are in flight show the *stale* estimate.
         batched: Select the delivery engine.  ``True`` forces the batched
             fast path, ``False`` forces per-update dispatch, and ``None``
-            (the default) picks batching exactly when ``record_every > 1``
-            (with ``record_every == 1`` every update is followed by a record,
-            so there is nothing to batch).  Both engines produce identical
-            estimates, message counts and bit counts.
+            (the default) batches exactly when the channels are synchronous
+            and ``record_every > 1`` (with ``record_every == 1`` every update
+            is followed by a record, so there is nothing to batch).  Both
+            engines produce identical estimates, message counts and bit
+            counts.  An asynchronous run stays per-update, the exact
+            per-message transport model, unless ``batched=True``: then the
+            clock moves at segment granularity and each trigger-free span's
+            count reports fly as *one* prepaid in-flight event — bit-for-bit
+            the synchronous engine at zero latency, span-granularity timing
+            otherwise.  Trace columns always run batched.
 
     Returns:
-        A :class:`TrackingResult` with per-step records and total costs.
+        A :class:`TrackingResult` with per-step records and total costs; over
+        asynchronous channels, an :class:`~repro.asynchrony.AsyncTrackingResult`
+        that also carries the staleness aggregates and the settled state
+        after the final drain.
+
+    Raises:
+        ValueError: ``record_every < 1``.
+        ProtocolError: A tree mixes synchronous and asynchronous channels,
+            or trace columns are given for an asynchronous network.
+        ConfigurationError: ``batched=False`` with trace columns (replay a
+            trace per update with ``columns.to_updates()``).
     """
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
-    if not network.channel.is_synchronous:
-        raise ProtocolError(
-            "run_tracking drives synchronous channels only; this network is "
-            "wired over an asynchronous channel — use "
-            "repro.asynchrony.run_tracking_async, which advances the virtual "
-            "clock and drains in-flight messages"
-        )
-    use_batch = batched if batched is not None else record_every > 1
-    result = TrackingResult()
-    if use_batch:
-        _run_batched(network, updates, record_every, result)
+    if network.channel.is_synchronous:
+        clock, result = None, TrackingResult()
     else:
-        _run_per_update(network, updates, record_every, result)
-    _finish(result, network)
+        # Imported lazily: the synchronous path needs nothing from the
+        # asynchrony package.
+        from repro.asynchrony.runner import AsyncTrackingResult
+
+        clock, result = _virtual_clock(network), AsyncTrackingResult()
+    advance = None if clock is None else clock.advance_to
+    if isinstance(updates, TraceColumns):
+        if clock is not None:
+            raise ProtocolError(
+                "trace columns replay over synchronous channels only; pass "
+                "columns.to_updates() to run a trace over a latency-aware "
+                "transport"
+            )
+        if batched is False:
+            raise ConfigurationError(
+                "trace columns always run on the batched engine; pass "
+                "columns.to_updates() for per-update dispatch"
+            )
+        columns = [
+            np.asarray(column, dtype=np.int64)
+            for column in (updates.times, updates.sites, updates.deltas)
+        ]
+        _run_batched(network, [columns] if len(updates) else [], record_every, result)
+    elif batched or (batched is None and clock is None and record_every > 1):
+        _run_batched(network, _update_chunks(updates), record_every, result, advance)
+    else:
+        _run_per_update(network, updates, record_every, result, advance)
+    if clock is None:
+        _finish(result, network)
+    else:
+        _settle(result, network, clock)
     return result
 
 
-def run_tracking_arrays(
-    network: MonitoringNetwork,
-    times,
-    sites,
-    deltas,
-    record_every: int = 1,
-) -> TrackingResult:
-    """Columnar engine: drive a network from ``times``/``sites``/``deltas`` arrays.
+class TrackerFactory:
+    """Base of the tracker factories: :meth:`track` runs a fresh network.
 
-    The array-native counterpart of :func:`run_tracking` for replayed traces
-    (see :func:`repro.streams.io.load_trace_columns`): contiguous same-site
-    runs are cut directly out of the arrays and fed to
-    :meth:`~repro.monitoring.network.MonitoringNetwork.deliver_batch`, so no
-    per-:class:`~repro.types.Update` objects are ever constructed.  Runs are
-    split at recording points exactly like the batched engine, and the result
-    is bit-for-bit identical — estimates, message counts, bit counts — to
-    ``run_tracking`` over the equivalent update sequence
-    (``tests/test_columnar_runner.py``).
-
-    Args:
-        network: The wired network to drive: flat, or a tree of any depth,
-            whose sites are built only when a segment reaches them.
-        times: 1-D integer array of update timesteps, in order.
-        sites: Matching array of destination site ids.
-        deltas: Matching array of per-timestep changes.
-        record_every: Recording stride, as in :func:`run_tracking`; the final
-            timestep is always recorded.
-
-    Returns:
-        A :class:`TrackingResult` with per-step records and total costs.
+    A factory bundles one tracker's parameters, and its ``build_network()``
+    returns a freshly wired network; subclasses supply that method.
     """
-    if not network.channel.is_synchronous:
-        raise ProtocolError(
-            "run_tracking_arrays drives synchronous channels only; use "
-            "repro.asynchrony.run_tracking_async for latency-aware transports"
+
+    def track(
+        self, updates, record_every: int = 1, batched: Optional[bool] = None
+    ) -> TrackingResult:
+        """Build a fresh network and run a distributed stream through it.
+
+        Args:
+            updates: Any iterable of :class:`~repro.types.Update` (lists,
+                generators, lazy readers), or a trace's columns.
+            record_every: Passed through to :func:`run_tracking`.
+            batched: Delivery-engine selector, passed through to
+                :func:`run_tracking`.
+
+        Returns:
+            The :class:`TrackingResult` of the run.
+        """
+        return run_tracking(
+            self.build_network(), updates, record_every=record_every, batched=batched
         )
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
-    times = np.asarray(times, dtype=np.int64)
-    sites = np.asarray(sites, dtype=np.int64)
-    deltas = np.asarray(deltas, dtype=np.int64)
-    if times.ndim != 1 or times.shape != sites.shape or times.shape != deltas.shape:
-        raise ProtocolError(
-            "columnar tracking needs equal-length 1-D times/sites/deltas, got "
-            f"shapes {times.shape}/{sites.shape}/{deltas.shape}"
-        )
-    result = TrackingResult()
-    # A zero-length trace mirrors run_tracking on an empty iterable: no
-    # records, but the totals below are still populated from the (quiet)
-    # channel, so downstream summary() consumers see a complete result.
-    if times.size:
-        true_value, last_time, recorded_last = _deliver_segments(
-            network, times, sites, deltas, 0, record_every, result, 0
-        )
-        if not recorded_last:
-            _record(result, network, last_time, true_value)
-    _finish(result, network)
-    return result

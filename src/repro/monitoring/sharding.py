@@ -44,9 +44,9 @@ the same span kernel (:mod:`repro.engine`) as a flat network, multi-block
 fast-forwarding included, against the leaf's own coordinator; the
 *push count* depends on delivery granularity, exactly like transport-level
 batching on a real uplink.  The asynchronous bulk span engine
-(``run_tracking_async(batched=True)``) extends the same trade to the
-transport: one in-flight event per leaf-local span, estimate pushes at
-segment boundaries.
+(``run_tracking(..., batched=True)`` over async channels) extends the same
+trade to the transport: one in-flight event per leaf-local span, estimate
+pushes at segment boundaries.
 """
 
 from __future__ import annotations
@@ -568,8 +568,8 @@ class ShardedNetwork:
 
     Exposes the same driving surface as :class:`MonitoringNetwork`
     (``deliver_update``, ``deliver_batch``, ``estimate``, ``stats``,
-    ``channel``), so :func:`repro.monitoring.runner.run_tracking` and
-    :func:`repro.asynchrony.run_tracking_async` run it unmodified.  An update
+    ``channel``), so :func:`repro.monitoring.runner.run_tracking` runs it
+    unmodified, over any transport.  An update
     is routed down the rows to its leaf (site id to leaf-local id), each
     leaf's batched fast path runs against its own unmodified coordinator,
     and after every delivery the rows on the path push their estimates
@@ -766,7 +766,7 @@ class ShardedNetwork:
         """The tree's estimate: the root aggregator's merged view."""
         return self.root_network.estimate()
 
-    # -- asynchronous driving (see repro.asynchrony.runner) ------------------
+    # -- asynchronous driving (the runner's virtual clock for a tree) --------
 
     def advance_to(self, until: float) -> None:
         """Advance every clock to ``until`` and push fresh estimates.

@@ -9,7 +9,7 @@ through small, human-readable CSV files.
 For replayed *distributed* traces there is additionally a columnar path:
 :func:`save_trace_csv` / :func:`load_trace_columns` round-trip a full
 ``time,site,delta`` trace as three NumPy arrays (:class:`TraceColumns`),
-which :func:`repro.monitoring.runner.run_tracking_arrays` feeds to
+which :func:`repro.monitoring.runner.run_tracking` feeds to
 ``deliver_batch`` directly — no per-:class:`~repro.types.Update` object is
 ever constructed on the replay hot path.  For traces too large for CSV
 parsing, :func:`save_trace_npz` / :func:`load_trace_npz` store the same
@@ -152,7 +152,7 @@ def load_trace_columns(path: PathLike) -> TraceColumns:
 
     The whole table is parsed into three ``int64`` arrays in one NumPy pass;
     nothing per-update is constructed, so a loaded trace flows into
-    :func:`repro.monitoring.runner.run_tracking_arrays` (and from there into
+    :func:`repro.monitoring.runner.run_tracking` (and from there into
     ``deliver_batch``) without any Python-object overhead per record.
     """
     source = pathlib.Path(path)
@@ -261,7 +261,7 @@ def load_trace_npz(path: PathLike, mmap_mode: Optional[str] = None) -> TraceColu
             ``"r"`` (read-only) or ``"c"`` (copy-on-write) memory-maps them
             in place instead — the load touches no data pages, so traces far
             larger than RAM replay straight into
-            :func:`repro.monitoring.runner.run_tracking_arrays` with the OS
+            :func:`repro.monitoring.runner.run_tracking` with the OS
             paging in only the slices the engine actually cuts.  Writable
             mapping (``"r+"``) is refused: flushing bytes into a zip member
             would desynchronise the archive's CRC and corrupt the file.

@@ -7,7 +7,7 @@ identical — recorded estimates, message totals, bit totals, per-kind counts
 — to hand-wiring the corresponding legacy entry point, and
 ``RunSpec.from_dict(spec.to_dict())`` reproduces the same result.  A
 separate columnar section pins the ``arrays`` engine against
-:func:`repro.monitoring.runner.run_tracking_arrays` over both trace formats.
+:func:`repro.monitoring.runner.run_tracking` over both trace formats' columns.
 """
 
 import json
@@ -27,10 +27,9 @@ from repro.asynchrony import (
     UniformLatency,
     ZERO_LATENCY,
     async_channels,
-    run_tracking_async,
 )
 from repro.core import DeterministicCounter, RandomizedCounter
-from repro.monitoring import build_tree_network, run_tracking, run_tracking_arrays
+from repro.monitoring import build_tree_network, run_tracking
 from repro.streams import assign_sites, random_walk_stream
 from repro.streams.io import columns_from_updates, save_trace_csv, save_trace_npz
 
@@ -120,7 +119,7 @@ def test_spec_run_is_bit_for_bit_the_legacy_entry_point(
                 channel_factory=async_channels([shards], model, seed=seed),
             )
         )
-        legacy = run_tracking_async(
+        legacy = run_tracking(
             network, updates, record_every=record_every, batched=engine == "batched"
         )
     assert _fingerprint(result) == _fingerprint(legacy)
@@ -132,7 +131,7 @@ def test_spec_run_is_bit_for_bit_the_legacy_entry_point(
 
 @pytest.mark.parametrize("fmt", ["csv", "npz"])
 @pytest.mark.parametrize("shards", [1, 3])
-def test_arrays_spec_matches_run_tracking_arrays(tmp_path, fmt, shards):
+def test_arrays_spec_matches_columnar_run_tracking(tmp_path, fmt, shards):
     updates = assign_sites(random_walk_stream(LENGTH, seed=2), SITES)
     trace = columns_from_updates(updates)
     path = tmp_path / f"trace.{fmt}"
@@ -155,9 +154,7 @@ def test_arrays_spec_matches_run_tracking_arrays(tmp_path, fmt, shards):
             fanouts=[shards],
         )
     )
-    legacy = run_tracking_arrays(
-        network, trace.times, trace.sites, trace.deltas, record_every=7
-    )
+    legacy = run_tracking(network, trace, record_every=7)
     assert _fingerprint(result) == _fingerprint(legacy)
     replayed = RunSpec.from_dict(json.loads(json.dumps(spec.to_dict()))).run()
     assert _fingerprint(replayed) == _fingerprint(result)

@@ -274,6 +274,17 @@ class TestSweep:
         assert [p.spec.tracker.name for p in points] == ["naive", "deterministic"]
         assert all(p.result.total_messages > 0 for p in points)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_invalid_point_fails_with_field_naming_error(self, workers):
+        # A parallel sweep validates every point before it starts a pool, so
+        # a bad point fails as it does serially: a SpecError naming the field.
+        sweep = Sweep(
+            _spec(transport=TransportSpec(mode="async", latency="uniform")),
+            {"transport.loss": [0.0, 1.5]},
+        )
+        with pytest.raises(SpecError, match=r"transport\.loss"):
+            sweep.run(workers=workers)
+
 
 class TestResultSummaries:
     def test_sync_summary_and_to_dict_vocabulary(self):

@@ -1,10 +1,10 @@
 """Bulk span scheduling on the asynchronous transport.
 
-``run_tracking_async(batched=True)`` routes contiguous same-site runs
-through the span kernel: trigger-free spans charge their count reports in
-bulk and put *one* prepaid aggregate in flight per span
-(:meth:`AsyncChannel.send_prepaid_to_coordinator`), while block closes stay
-real per-message traffic.  Contract pinned here:
+``run_tracking(..., batched=True)`` over asynchronous channels routes
+contiguous same-site runs through the span kernel: trigger-free spans
+charge their count reports in bulk and put *one* prepaid aggregate in
+flight per span (:meth:`AsyncChannel.send_prepaid_to_coordinator`), while
+block closes stay real per-message traffic.  Contract pinned here:
 
 * zero latency is bit-for-bit the synchronous batched engine (which is
   itself bit-for-bit per-update), flat and sharded alike — the async
@@ -21,7 +21,6 @@ from repro.asynchrony import (
     UniformLatency,
     ZERO_LATENCY,
     async_channels,
-    run_tracking_async,
 )
 from repro.api import RunSpec, SourceSpec, TopologySpec, TrackerSpec, TransportSpec
 from repro.core import DeterministicCounter, RandomizedCounter
@@ -62,7 +61,7 @@ class TestZeroLatencyBulkSpans:
                 fanouts=[],
                 channel_factory=async_channels([], ConstantLatency(0.0)),
             )
-            asynchronous = run_tracking_async(
+            asynchronous = run_tracking(
                 network, updates, record_every=50, batched=True
             )
             assert _fingerprint(sync) == _fingerprint(asynchronous)
@@ -72,7 +71,7 @@ class TestZeroLatencyBulkSpans:
         updates = assign_sites(spec, 4, BlockedAssignment(256))
         trackers = [TrackerSpec("deterministic"), TrackerSpec("randomized", seed=9)]
         for build, tracker in zip(_factories(4), trackers):
-            flat = run_tracking_async(
+            flat = run_tracking(
                 build_tree_network(
                     build(),
                     fanouts=[],
@@ -82,7 +81,7 @@ class TestZeroLatencyBulkSpans:
                 record_every=40,
                 batched=True,
             )
-            sharded = run_tracking_async(
+            sharded = run_tracking(
                 RunSpec(
                     source=SourceSpec(sites=4),
                     tracker=tracker,
@@ -100,14 +99,14 @@ class TestZeroLatencyBulkSpans:
         spec = random_walk_stream(3_000, seed=7)
         updates = assign_sites(spec, 2, BlockedAssignment(128))
         for build in _factories(2):
-            per_update = run_tracking_async(
+            per_update = run_tracking(
                 build_tree_network(
                     build(),
                     fanouts=[],
                     channel_factory=async_channels([], ZERO_LATENCY),
                 ), updates, record_every=25
             )
-            batched = run_tracking_async(
+            batched = run_tracking(
                 build_tree_network(
                     build(),
                     fanouts=[],
@@ -135,7 +134,7 @@ class TestLatencyBulkSpans:
                 fanouts=[],
                 channel_factory=async_channels([], UniformLatency(2.0, 6.0), seed=1),
             )
-        result = run_tracking_async(
+        result = run_tracking(
             network, updates, record_every=500, batched=batched
         )
         return result, network

@@ -2,10 +2,10 @@
 
 The asynchronous subsystem's central honesty check: under ``ConstantLatency(0)``
 every message is delivered inline at its send instant, so
-:func:`repro.asynchrony.run_tracking_async` must be *bit-for-bit* identical to
-:func:`repro.monitoring.run_tracking` — per-record estimates, message counts,
-bit counts, per-kind breakdowns, and the full transcript (message order and
-content) — for every core algorithm and baseline, across stream classes,
+:func:`repro.monitoring.run_tracking` over asynchronous channels must be
+*bit-for-bit* identical to the same runner over synchronous ones —
+per-record estimates, message counts, bit counts, per-kind breakdowns, and
+the full transcript (message order and content) — for every core algorithm and baseline, across stream classes,
 site counts, assignment policies and recording strides.  Anything less and
 the latency experiments would not be anchored to the paper's model.
 """
@@ -16,7 +16,6 @@ from repro.asynchrony import (
     ConstantLatency,
     ZERO_LATENCY,
     async_channels,
-    run_tracking_async,
 )
 from repro.baselines import CormodeCounter, HuangCounter, LiuStyleCounter, NaiveCounter
 from repro.core import DeterministicCounter, RandomizedCounter
@@ -79,7 +78,7 @@ def _run_both(factory_builder, updates, record_every):
         channel_factory=async_channels([], ConstantLatency(0.0), seed=0),
     )
     async_network.channel.enable_log()
-    asynchronous = run_tracking_async(
+    asynchronous = run_tracking(
         async_network, updates, record_every=record_every
     )
     return sync, asynchronous, sync_network, async_network
@@ -128,7 +127,7 @@ class TestZeroLatencyEquivalence:
             fanouts=[],
             channel_factory=async_channels([], ZERO_LATENCY),
         )
-        result = run_tracking_async(network, updates)
+        result = run_tracking(network, updates)
         assert result.staleness.inflight_highwater == 0
         assert result.staleness.max_age == 0.0
         assert result.staleness.delivered == result.total_messages
@@ -153,7 +152,7 @@ class TestZeroLatencyEquivalence:
             fanouts=[],
             channel_factory=async_channels([], ZERO_LATENCY),
         )
-        lazy = run_tracking_async(network, (u for u in updates), record_every=10)
+        lazy = run_tracking(network, (u for u in updates), record_every=10)
         reference = DeterministicCounter(2, 0.1).track(
             updates, record_every=10, batched=False
         )
@@ -165,7 +164,7 @@ class TestZeroLatencyEquivalence:
             fanouts=[],
             channel_factory=async_channels([], ZERO_LATENCY),
         )
-        result = run_tracking_async(network, iter(()))
+        result = run_tracking(network, iter(()))
         assert result.records == []
         assert result.total_messages == 0
         assert result.final_clock == 0.0

@@ -12,13 +12,13 @@ import pytest
 from repro.asynchrony import (
     AsymmetricLatency,
     AsyncChannel,
+    AsyncTrackingResult,
     ConstantLatency,
     EventScheduler,
     HeavyTailLatency,
     UniformLatency,
     ZERO_LATENCY,
     async_channels,
-    run_tracking_async,
 )
 from repro.analysis.staleness import (
     error_over_time,
@@ -30,7 +30,7 @@ from repro.baselines import CormodeCounter, NaiveCounter
 from repro.cli import main
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.exceptions import ConfigurationError, ProtocolError, SpecError
-from repro.monitoring import build_tree_network, run_tracking
+from repro.monitoring import TrackingResult, build_tree_network, run_tracking
 from repro.monitoring.messages import BROADCAST_SITE, COORDINATOR, Message, MessageKind
 from repro.streams import assign_sites, monotone_stream, random_walk_stream
 from repro.types import EstimateRecord
@@ -255,23 +255,25 @@ class TestAsyncChannel:
 
 
 class TestAsyncRunner:
-    def test_rejects_synchronous_network(self):
+    def test_synchronous_network_returns_plain_result(self):
         network = DeterministicCounter(2, 0.1).build_network()
         updates = assign_sites(random_walk_stream(10, seed=0), 2)
-        with pytest.raises(ProtocolError):
-            run_tracking_async(network, updates)
+        assert type(run_tracking(network, updates)) is TrackingResult
 
-    def test_sync_runner_rejects_async_network(self):
-        """run_tracking must refuse async networks instead of silently
-        charging messages that are never delivered."""
+    def test_async_network_delivers_every_charged_message(self):
+        """run_tracking drives and drains an async network's clock instead of
+        silently charging messages that are never delivered."""
         network = build_tree_network(
             DeterministicCounter(2, 0.1),
             fanouts=[],
             channel_factory=async_channels([], ConstantLatency(5.0)),
         )
         updates = assign_sites(random_walk_stream(10, seed=0), 2)
-        with pytest.raises(ProtocolError, match="run_tracking_async"):
-            run_tracking(network, updates)
+        result = run_tracking(network, updates)
+        assert isinstance(result, AsyncTrackingResult)
+        assert network.channel.in_flight == 0
+        assert result.total_messages > 0
+        assert result.staleness.delivered == result.total_messages
 
     def test_rejects_bad_record_every(self):
         network = build_tree_network(
@@ -280,7 +282,7 @@ class TestAsyncRunner:
             channel_factory=async_channels([], ZERO_LATENCY),
         )
         with pytest.raises(ValueError):
-            run_tracking_async(network, [], record_every=0)
+            run_tracking(network, [], record_every=0)
 
     def test_naive_tracker_settles_exactly_after_drain(self):
         """Every update eventually arrives, so the drained naive count is exact."""
@@ -290,7 +292,7 @@ class TestAsyncRunner:
             fanouts=[],
             channel_factory=async_channels([], UniformLatency(3.0, 30.0), seed=4),
         )
-        result = run_tracking_async(network, updates)
+        result = run_tracking(network, updates)
         assert result.settled_error() == 0.0
         assert result.final_clock > 400.0  # messages were still in flight at the end
         assert result.staleness.mean_age > 0.0
@@ -303,21 +305,23 @@ class TestAsyncRunner:
             fanouts=[],
             channel_factory=async_channels([], ConstantLatency(50.0)),
         )
-        result = run_tracking_async(network, updates)
+        result = run_tracking(network, updates)
         mid = result.records[150]
         assert mid.estimate == mid.true_value - 50.0  # exactly the in-flight window
         assert result.staleness.inflight_highwater == 50
 
-    def test_drain_disabled_leaves_backlog(self):
+    def test_backlog_lands_only_in_the_final_drain(self):
         updates = assign_sites(monotone_stream(100), 1)
         network = build_tree_network(
             NaiveCounter(1),
             fanouts=[],
             channel_factory=async_channels([], ConstantLatency(1000.0)),
         )
-        result = run_tracking_async(network, updates, drain=False)
-        assert network.channel.in_flight == 100
-        assert result.final_estimate == 0.0
+        result = run_tracking(network, updates)
+        # Every message was still in flight at every record...
+        assert all(record.estimate == 0.0 for record in result.records)
+        # ...and the drain after the last update delivered all 100.
+        assert result.final_estimate == 100.0
         assert result.final_true_value == 100
 
     def test_block_protocol_completes_under_latency(self):
@@ -327,7 +331,7 @@ class TestAsyncRunner:
             fanouts=[],
             channel_factory=async_channels([], UniformLatency(2.0, 20.0), seed=1),
         )
-        result = run_tracking_async(network, updates, record_every=50)
+        result = run_tracking(network, updates, record_every=50)
         assert network.coordinator.blocks_completed > 0
         assert result.total_messages > 0
         assert result.staleness.delivered == result.total_messages
@@ -339,7 +343,7 @@ class TestAsyncRunner:
             fanouts=[],
             channel_factory=async_channels([], UniformLatency(2.0, 20.0), seed=1),
         )
-        result = run_tracking_async(network, updates, record_every=50)
+        result = run_tracking(network, updates, record_every=50)
         assert network.coordinator.rounds_completed > 0
         assert result.settled_error() >= 0.0
 
@@ -354,7 +358,7 @@ class TestAsyncRunner:
                     [], HeavyTailLatency(5.0, alpha=1.3, cap=200.0), seed=17
                 ),
             )
-            result = run_tracking_async(network, updates, record_every=25)
+            result = run_tracking(network, updates, record_every=25)
             return (
                 [(r.time, r.estimate, r.messages, r.bits) for r in result.records],
                 result.staleness,

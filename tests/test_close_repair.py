@@ -20,7 +20,7 @@ baseline.
 
 import pytest
 
-from repro.asynchrony import UniformLatency, async_channels, run_tracking_async
+from repro.asynchrony import UniformLatency, async_channels
 from repro.baselines import NaiveCounter
 from repro.core import DeterministicCounter
 from repro.exceptions import ConfigurationError
@@ -105,7 +105,7 @@ class TestLossyEffectiveness:
         if repair:
             enable_close_repair(network)
         updates = _updates(oscillating_stream(12_000, target=400, seed=11))
-        result = run_tracking_async(network, updates, record_every=20)
+        result = run_tracking(network, updates, record_every=20)
         return result.summary(EPSILON)["violation_fraction"]
 
     def test_repair_holds_accuracy_where_naive_degrades(self):
@@ -154,7 +154,7 @@ class TestRepairOnHierarchies:
         enable_close_repair(network)
         k = 6 if topology == "shards" else 8
         updates = _updates(random_walk_stream(3_000, seed=8), k=k)
-        result = run_tracking_async(network, updates, record_every=25)
+        result = run_tracking(network, updates, record_every=25)
         assert result.retransmitted == result.dropped + result.duplicates
         assert result.final_estimate == pytest.approx(
             result.final_true_value, abs=max(40.0, 0.3 * abs(result.final_true_value))

@@ -1,18 +1,20 @@
-"""Columnar trace ingestion: CSV round-trip and the array-native runner.
+"""Columnar trace ingestion: CSV round-trip and the array-native replay.
 
 The columnar path (``save_trace_csv`` / ``load_trace_columns`` /
-``run_tracking_arrays``) replays traces without constructing a single
-:class:`~repro.types.Update` object; its contract is bit-for-bit equivalence
-with ``run_tracking`` over the same updates — estimates, message counts,
-bit counts, per-kind breakdown — at every recording stride.
+``run_tracking`` over :class:`~repro.streams.io.TraceColumns`) replays traces
+without constructing a single :class:`~repro.types.Update` object; its
+contract is bit-for-bit equivalence with ``run_tracking`` over the same
+updates — estimates, message counts, bit counts, per-kind breakdown — at
+every recording stride.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import DeterministicCounter, RandomizedCounter
-from repro.exceptions import ProtocolError, StreamError
-from repro.monitoring import build_tree_network, run_tracking, run_tracking_arrays
+from repro.asynchrony import ConstantLatency, async_channels
+from repro.exceptions import ConfigurationError, ProtocolError, StreamError
+from repro.monitoring import build_tree_network, run_tracking
 from repro.streams import (
     BlockedAssignment,
     SkewedAssignment,
@@ -87,7 +89,7 @@ class TestTraceCsvRoundtrip:
             )
 
 
-class TestRunTrackingArrays:
+class TestColumnarRunTracking:
     @pytest.mark.parametrize("record_every", [1, 7, 50])
     @pytest.mark.parametrize(
         "policy_factory",
@@ -108,12 +110,8 @@ class TestRunTrackingArrays:
                 record_every=record_every,
                 batched=True,
             )
-            columnar = run_tracking_arrays(
-                factory_builder().build_network(),
-                columns.times,
-                columns.sites,
-                columns.deltas,
-                record_every=record_every,
+            columnar = run_tracking(
+                factory_builder().build_network(), columns, record_every=record_every
             )
             assert _fingerprint(reference) == _fingerprint(columnar)
 
@@ -122,12 +120,8 @@ class TestRunTrackingArrays:
         path = tmp_path / "trace.csv"
         save_trace_csv(updates, path)
         trace = load_trace_columns(path)
-        replayed = run_tracking_arrays(
-            DeterministicCounter(2, 0.1).build_network(),
-            trace.times,
-            trace.sites,
-            trace.deltas,
-            record_every=40,
+        replayed = run_tracking(
+            DeterministicCounter(2, 0.1).build_network(), trace, record_every=40
         )
         reference = DeterministicCounter(2, 0.1).track(
             updates, record_every=40, batched=True
@@ -137,11 +131,9 @@ class TestRunTrackingArrays:
     def test_drives_sharded_networks(self):
         updates = assign_sites(random_walk_stream(1_000, seed=13), 6, BlockedAssignment(32))
         columns = columns_from_updates(updates)
-        sharded = run_tracking_arrays(
+        sharded = run_tracking(
             build_tree_network(DeterministicCounter(6, 0.1), fanouts=[3]),
-            columns.times,
-            columns.sites,
-            columns.deltas,
+            columns,
             record_every=25,
         )
         flat = run_tracking(
@@ -153,22 +145,39 @@ class TestRunTrackingArrays:
         assert _fingerprint(sharded) == _fingerprint(flat)
 
     def test_empty_trace(self):
-        result = run_tracking_arrays(
-            DeterministicCounter(2, 0.1).build_network(), [], [], []
+        empty = np.asarray([], dtype=np.int64)
+        result = run_tracking(
+            DeterministicCounter(2, 0.1).build_network(),
+            TraceColumns(empty, empty, empty),
         )
         assert result.records == []
         assert result.total_messages == 0
 
-    def test_shape_validation(self):
+    def test_rejects_record_every_below_one(self):
         network = DeterministicCounter(2, 0.1).build_network()
-        with pytest.raises(ProtocolError):
-            run_tracking_arrays(network, [1, 2], [0], [1, 1])
+        one = np.ones(1, dtype=np.int64)
         with pytest.raises(ValueError):
-            run_tracking_arrays(network, [1], [0], [1], record_every=0)
+            run_tracking(network, TraceColumns(one, one - 1, one), record_every=0)
+
+    def test_rejects_asynchronous_network(self):
+        updates = assign_sites(random_walk_stream(50, seed=1), 2)
+        network = build_tree_network(
+            DeterministicCounter(2, 0.1),
+            fanouts=[],
+            channel_factory=async_channels([], ConstantLatency(0.0)),
+        )
+        with pytest.raises(ProtocolError, match="synchronous channels only"):
+            run_tracking(network, columns_from_updates(updates))
+
+    def test_rejects_per_update_dispatch(self):
+        updates = assign_sites(random_walk_stream(50, seed=1), 2)
+        network = DeterministicCounter(2, 0.1).build_network()
+        with pytest.raises(ConfigurationError, match="to_updates"):
+            run_tracking(network, columns_from_updates(updates), batched=False)
 
 
 class TestEmptyInputs:
-    """Zero-length inputs: both runners return an empty result with totals.
+    """Zero-length inputs: both workloads give an empty result with totals.
 
     A zero-length columnar run must match ``run_tracking`` on an empty
     iterable exactly — no records, zero totals, an empty per-kind breakdown
@@ -192,13 +201,11 @@ class TestEmptyInputs:
         assert result.summary(0.2)["num_records"] == 0
 
     @pytest.mark.parametrize("record_every", [1, 7])
-    def test_empty_columns_run_tracking_arrays(self, record_every):
+    def test_empty_columns_run_tracking(self, record_every):
         empty = np.asarray([], dtype=np.int64)
-        result = run_tracking_arrays(
+        result = run_tracking(
             DeterministicCounter(3, 0.2).build_network(),
-            empty,
-            empty,
-            empty,
+            TraceColumns(empty, empty, empty),
             record_every=record_every,
         )
         assert result.records == []
@@ -209,8 +216,9 @@ class TestEmptyInputs:
 
     def test_empty_columns_match_empty_iterable(self):
         empty = np.asarray([], dtype=np.int64)
-        columnar = run_tracking_arrays(
-            DeterministicCounter(3, 0.2).build_network(), empty, empty, empty
+        columnar = run_tracking(
+            DeterministicCounter(3, 0.2).build_network(),
+            TraceColumns(empty, empty, empty),
         )
         streamed = run_tracking(DeterministicCounter(3, 0.2).build_network(), [])
         assert _fingerprint(columnar) == _fingerprint(streamed)

@@ -18,7 +18,6 @@ from repro.asynchrony import (
     ConstantLatency,
     UniformLatency,
     async_channels,
-    run_tracking_async,
 )
 from repro.core import DeterministicCounter
 from repro.exceptions import ConfigurationError
@@ -32,7 +31,7 @@ from repro.faults import (
 )
 from repro.monitoring.messages import MessageKind
 from repro.streams import RoundRobinAssignment, assign_sites, random_walk_stream
-from repro.monitoring import build_tree_network
+from repro.monitoring import build_tree_network, run_tracking
 
 EPSILON = 0.1
 
@@ -121,7 +120,7 @@ class TestInertBypass:
     def test_zero_loss_run_has_no_reliability_traffic(self):
         network = _lossy_network(FaultPlan(), UniformLatency(0.5, 2.0))
         assert isinstance(network.channel, FaultyChannel)
-        result = run_tracking_async(network, _updates())
+        result = run_tracking(network, _updates())
         assert (result.dropped, result.retransmitted, result.duplicates) == (0, 0, 0)
 
 
@@ -136,7 +135,7 @@ class TestConservationLaws:
     )
     def test_retransmitted_equals_dropped_plus_duplicates(self, plan, latency):
         network = _lossy_network(plan, latency)
-        result = run_tracking_async(network, _updates())
+        result = run_tracking(network, _updates())
         stats = network.channel.stats
         assert stats.dropped > 0
         assert stats.retransmitted == stats.dropped + stats.duplicates
@@ -158,12 +157,12 @@ class TestConservationLaws:
         network = _lossy_network(
             FaultPlan(loss=0.3, seed=5), UniformLatency(1.0, 8.0)
         )
-        run_tracking_async(network, _updates())
+        run_tracking(network, _updates())
         assert network.channel.in_flight == 0
 
     def test_summary_surfaces_reliability(self):
         network = _lossy_network(FaultPlan(loss=0.2, seed=1), UniformLatency(1.0, 6.0))
-        result = run_tracking_async(network, _updates())
+        result = run_tracking(network, _updates())
         reliability = result.summary(EPSILON)["reliability"]
         assert reliability == {
             "dropped": result.dropped,
@@ -183,7 +182,7 @@ class TestDuplicateSemantics:
             loss=0.2, seed=4, retransmit=RetransmitPolicy(timeout=4.0)
         )
         network = _lossy_network(plan, ConstantLatency(1.0))
-        result = run_tracking_async(network, _updates())
+        result = run_tracking(network, _updates())
         assert result.dropped > 0
         assert result.duplicates == 0
         assert result.retransmitted == result.dropped
@@ -196,7 +195,7 @@ class TestDuplicateSemantics:
             loss=0.1, seed=4, retransmit=RetransmitPolicy(timeout=4.0)
         )
         network = _lossy_network(plan, UniformLatency(1.0, 8.0))
-        result = run_tracking_async(network, _updates())
+        result = run_tracking(network, _updates())
         assert result.duplicates > 0
         assert result.retransmitted == result.dropped + result.duplicates
 
@@ -205,7 +204,7 @@ class TestKindRestriction:
     def test_only_listed_kinds_are_faulted(self):
         plan = FaultPlan(loss=0.3, seed=6, kinds={MessageKind.REPORT})
         network = _lossy_network(plan, UniformLatency(0.5, 2.0))
-        run_tracking_async(network, _updates())
+        run_tracking(network, _updates())
         stats = network.channel.stats
         assert stats.dropped > 0
         assert set(stats.dropped_by_kind) == {"report"}
@@ -220,7 +219,7 @@ class TestReproducibility:
                 FaultPlan(loss=0.2, model="burst", seed=8),
                 UniformLatency(1.0, 6.0),
             )
-            result = run_tracking_async(network, _updates())
+            result = run_tracking(network, _updates())
             return (
                 [(r.time, r.estimate, r.messages) for r in result.records],
                 result.dropped,
@@ -235,6 +234,6 @@ class TestReproducibility:
             network = _lossy_network(
                 FaultPlan(loss=0.2, seed=seed), UniformLatency(1.0, 6.0)
             )
-            return run_tracking_async(network, _updates()).dropped
+            return run_tracking(network, _updates()).dropped
 
         assert run(1) != run(2)

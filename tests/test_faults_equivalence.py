@@ -16,13 +16,12 @@ import pytest
 from repro.asynchrony import (
     UniformLatency,
     async_channels,
-    run_tracking_async,
 )
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.faults import FaultPlan, FaultyChannel
 from repro.observability.instrument import _walk
 from repro.streams import RoundRobinAssignment, assign_sites, random_walk_stream
-from repro.monitoring import build_tree_network
+from repro.monitoring import build_tree_network, run_tracking
 
 EPSILON = 0.1
 NUM_SITES = 6
@@ -117,7 +116,7 @@ class TestZeroLossIdentity:
 
         plain = build(factory(), None)
         _enable_logs(plain)
-        plain_result = run_tracking_async(plain, _updates(), record_every=17)
+        plain_result = run_tracking(plain, _updates(), record_every=17)
 
         inert = build(factory(), FaultPlan(loss=0.0, seed=99))
         _enable_logs(inert)
@@ -125,7 +124,7 @@ class TestZeroLossIdentity:
             isinstance(channel, FaultyChannel)
             for channel, _, _ in _walk(inert)
         )
-        inert_result = run_tracking_async(inert, _updates(), record_every=17)
+        inert_result = run_tracking(inert, _updates(), record_every=17)
 
         assert _fingerprint(inert_result) == _fingerprint(plain_result)
         assert _transcripts(inert) == _transcripts(plain)

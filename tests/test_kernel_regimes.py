@@ -25,12 +25,11 @@ from hypothesis import strategies as st
 from repro.asynchrony import (
     ConstantLatency,
     async_channels,
-    run_tracking_async,
 )
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.core.deterministic import DeterministicSite
 from repro.core.randomized import report_probability
-from repro.monitoring.runner import run_tracking, run_tracking_arrays
+from repro.monitoring.runner import run_tracking
 from repro.monitoring.tree import build_tree_network
 from repro.streams import (
     BlockedAssignment,
@@ -192,7 +191,7 @@ class TestSparseAndCrossLevelCells:
                 fanouts=[],
                 channel_factory=async_channels([], ConstantLatency(0.0), seed=0),
             )
-            return run_tracking_async(
+            return run_tracking(
                 network, updates, record_every=record_every, batched=batched
             )
 
@@ -219,7 +218,7 @@ class TestSparseAndCrossLevelCells:
                 fanout=2,
                 channel_factory=async_channels([2, 2], ConstantLatency(0.0), seed=0),
             )
-            result = run_tracking_async(
+            result = run_tracking(
                 network, updates, record_every=61, batched=batched
             )
             return result, network
@@ -253,13 +252,7 @@ class TestSparseAndCrossLevelCells:
         batched = run_tracking(
             network(), updates, record_every=record_every, batched=True
         )
-        arrays = run_tracking_arrays(
-            network(),
-            columns.times,
-            columns.sites,
-            columns.deltas,
-            record_every=record_every,
-        )
+        arrays = run_tracking(network(), columns, record_every=record_every)
         assert _fingerprint(batched) == _fingerprint(arrays)
         assert batched.levels == arrays.levels
 
@@ -312,7 +305,7 @@ class TestDescentScheduleCells:
                             [2, 2], ConstantLatency(0.0), seed=0
                         ),
                     )
-                    result = run_tracking_async(
+                    result = run_tracking(
                         network, updates, record_every=record_every, batched=batched
                     )
                 else:
@@ -327,7 +320,7 @@ class TestDescentScheduleCells:
                     fanouts=[],
                     channel_factory=async_channels([], ConstantLatency(0.0), seed=0),
                 )
-                result = run_tracking_async(
+                result = run_tracking(
                     network, updates, record_every=record_every, batched=batched
                 )
             else:

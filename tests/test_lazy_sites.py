@@ -19,7 +19,6 @@ from repro.asynchrony import (
     UniformLatency,
     ZERO_LATENCY,
     async_channels,
-    run_tracking_async,
 )
 from repro.baselines.naive import NaiveCoordinator, NaiveSite
 from repro.core import DeterministicCounter, RandomizedCounter
@@ -30,10 +29,10 @@ from repro.monitoring import (
     build_tree_network,
     migrate_site,
     run_tracking,
-    run_tracking_arrays,
 )
 from repro.monitoring.messages import BROADCAST_SITE, COORDINATOR, Message, MessageKind
 from repro.streams import BlockedAssignment, assign_sites, random_walk_stream
+from repro.streams.io import TraceColumns
 from repro.types import Update
 
 EPSILON = 0.1
@@ -110,7 +109,9 @@ class TestMillionSiteTree:
         sites = np.repeat(touched, 16)
         deltas = np.where(rng.random(sites.size) < 0.8, 1, -1)
         times = np.arange(1, sites.size + 1)
-        result = run_tracking_arrays(network, times, sites, deltas, record_every=64)
+        result = run_tracking(
+            network, TraceColumns(times, sites, deltas), record_every=64
+        )
         assert result.records[-1].true_value == int(deltas.sum())
 
         # Contiguous sharding: leaf ``s // 1000`` owns site ``s``.
@@ -276,10 +277,10 @@ class TestAsyncTreeLeaves:
         assert [leaf.network.num_built_sites for leaf in leaves] == [1, 1, 1, 0]
 
         updates = _updates(3_000, 16, block=100)
-        lazy = run_tracking_async(
+        lazy = run_tracking(
             self._tree(lazy_factory, latency), updates, record_every=50
         )
-        eager = run_tracking_async(
+        eager = run_tracking(
             self._tree(eager_factory, latency), updates, record_every=50
         )
         assert _fingerprint(lazy) == _fingerprint(eager)

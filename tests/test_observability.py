@@ -27,7 +27,7 @@ from repro.monitoring import (
     migrate_site,
     run_tracking,
 )
-from repro.asynchrony import UniformLatency, async_channels, run_tracking_async
+from repro.asynchrony import UniformLatency, async_channels
 from repro.observability import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
@@ -280,7 +280,7 @@ class TestInstrumentationCountsMatchProtocol:
             channel_factory=async_channels([], UniformLatency(0.5, 2.0), seed=3),
         )
         instr = instrument_network(network)
-        result = run_tracking_async(network, updates)
+        result = run_tracking(network, updates)
         instr.registry.collect()
         deliveries = instr.registry.get("repro_deliveries_total")
         assert _series_sum(deliveries) == result.staleness.delivered > 0
@@ -314,7 +314,7 @@ class TestInstrumentationCountsMatchProtocol:
             ),
         )
         instr = instrument_network(network)
-        result = run_tracking_async(network, updates)
+        result = run_tracking(network, updates)
         instr.registry.collect()
         stats = network.channel.stats
         assert result.dropped > 0
@@ -344,7 +344,7 @@ class TestInstrumentationCountsMatchProtocol:
             channel_factory=async_channels([], UniformLatency(0.5, 2.0), seed=3),
         )
         instr = instrument_network(network)
-        run_tracking_async(network, updates)
+        run_tracking(network, updates)
         instr.registry.collect()
         text = instr.registry.render()
         for line in text.splitlines():
@@ -454,7 +454,7 @@ class TestRates:
             fanouts=[],
             channel_factory=async_channels([], UniformLatency(0.5, 2.0), seed=9),
         )
-        result = run_tracking_async(network, updates)
+        result = run_tracking(network, updates)
         rates = result.summary()["rates"]
         assert rates["elapsed"] == result.final_clock
         assert rates["elapsed"] >= float(result.records[-1].time)

@@ -20,7 +20,6 @@ import pytest
 from repro.asynchrony import (
     UniformLatency,
     async_channels,
-    run_tracking_async,
 )
 from repro.core import DeterministicCounter
 from repro.monitoring import (
@@ -124,12 +123,12 @@ class TestInstrumentedRunsAreBitForBit:
     @settings(max_examples=10, deadline=None)
     def test_async_engine(self, deltas, num_levels, seed):
         updates = _distribute(deltas)
-        plain = run_tracking_async(
+        plain = run_tracking(
             _async_network(num_levels, seed), updates, record_every=3
         )
         network = _async_network(num_levels, seed)
         instr = instrument_network(network, trace=TraceLog(capacity=256))
-        observed = run_tracking_async(network, updates, record_every=3)
+        observed = run_tracking(network, updates, record_every=3)
         assert _fingerprint(observed) == _fingerprint(plain)
         instr.registry.collect()
         delivered = sum(

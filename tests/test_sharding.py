@@ -20,7 +20,6 @@ from repro.asynchrony import (
     ConstantLatency,
     UniformLatency,
     async_channels,
-    run_tracking_async,
 )
 from repro.api import RunSpec, SourceSpec, TopologySpec, TrackerSpec, TransportSpec
 from repro.baselines import CormodeCounter, HuangCounter, NaiveCounter
@@ -151,7 +150,7 @@ class TestFlatEquivalence:
             batched=False,
         )
         network = _single_shard(TrackerSpec(), TransportSpec(mode="async"))
-        asynchronous = run_tracking_async(network, updates, record_every=9)
+        asynchronous = run_tracking(network, updates, record_every=9)
         assert _fingerprint(flat) == _fingerprint(asynchronous)
         assert asynchronous.staleness.inflight_highwater == 0
 
@@ -160,7 +159,7 @@ class TestFlatEquivalence:
         RNG is consulted — the single shard's channel draws the same seed."""
         spec = random_walk_stream(800, seed=29)
         updates = assign_sites(spec, 4)
-        flat = run_tracking_async(
+        flat = run_tracking(
             build_tree_network(
                 DeterministicCounter(4, 0.1),
                 fanouts=[],
@@ -169,7 +168,7 @@ class TestFlatEquivalence:
             updates,
             record_every=7,
         )
-        sharded = run_tracking_async(
+        sharded = run_tracking(
             _single_shard(
                 TrackerSpec(),
                 TransportSpec(mode="async", latency="uniform", scale=2.0, seed=0),
@@ -295,7 +294,7 @@ class TestAsyncSharded:
             fanouts=[4],
             channel_factory=async_channels([4], ConstantLatency(0.0)),
         )
-        asynchronous = run_tracking_async(async_net, updates, record_every=13)
+        asynchronous = run_tracking(async_net, updates, record_every=13)
         assert _fingerprint(sync) == _fingerprint(asynchronous)
         assert asynchronous.staleness.inflight_highwater == 0
         assert asynchronous.final_estimate == sync_net.estimate()
@@ -311,14 +310,13 @@ class TestAsyncSharded:
                 [2], ConstantLatency(0.0), seed=0, root_latency=ConstantLatency(50.0)
             ),
         )
-        result = run_tracking_async(network, updates, record_every=1, drain=False)
+        result = run_tracking(network, updates, record_every=1)
         # Shard estimates are exact (local legs are instant)...
         assert sum(shard.estimate() for shard in network.shards) == 800.0
-        # ...but the root's merged view is behind while pushes are in flight.
-        assert network.estimate() < 800.0
-        assert network.channel.in_flight > 0
-        # Draining the hierarchy settles the root on the exact merge.
-        network.drain()
+        # ...but the root's merged view lagged while pushes were in flight.
+        assert result.records[-1].estimate == 750.0
+        # The final drain settles the root on the exact merge.
+        assert result.final_estimate == 800.0
         assert network.estimate() == 800.0
         assert result.total_messages == network.stats.messages
 
@@ -330,7 +328,7 @@ class TestAsyncSharded:
             fanouts=[3],
             channel_factory=async_channels([3], UniformLatency(1.0, 4.0), seed=2),
         )
-        result = run_tracking_async(network, updates, record_every=20)
+        result = run_tracking(network, updates, record_every=20)
         assert result.staleness.delivered == result.total_messages
         assert result.staleness.mean_age > 0
         assert result.staleness.inflight_highwater > 0
@@ -362,10 +360,20 @@ class TestAsyncSharded:
         assert final_clock >= 101.0
         assert network.estimate() == 1.0
 
-    def test_sync_channels_rejected(self):
-        network = build_tree_network(DeterministicCounter(4, 0.1), fanouts=[2])
-        with pytest.raises(ProtocolError):
-            run_tracking_async(network, [])
+    def test_mixed_transport_tree_rejected(self):
+        """Async leaves under a synchronous root: one clock cannot drive it."""
+        leaf_channels = async_channels([2], ConstantLatency(1.0))
+
+        def channel_factory(level, position, num_ports):
+            if level == 0:
+                return None  # the root keeps the synchronous channel
+            return leaf_channels(level, position, num_ports)
+
+        network = build_tree_network(
+            DeterministicCounter(4, 0.1), fanouts=[2], channel_factory=channel_factory
+        )
+        with pytest.raises(ProtocolError, match="mixes synchronous and asynchronous"):
+            run_tracking(network, [])
 
 
 class TestTopologyValidation:

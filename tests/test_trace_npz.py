@@ -4,7 +4,7 @@ The npz format is the binary sibling of the ``time,site,delta`` CSV layout:
 same columns, stored uncompressed so :func:`load_trace_npz` can hand them to
 :class:`numpy.memmap` in place.  The tests pin the format against the CSV
 path (identical columns, identical replay results through
-``run_tracking_arrays``) and exercise the error surface.
+``run_tracking``) and exercise the error surface.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import DeterministicCounter
 from repro.exceptions import StreamError
-from repro.monitoring.runner import run_tracking_arrays
+from repro.monitoring.runner import run_tracking
 from repro.streams import (
     TraceColumns,
     assign_sites,
@@ -65,12 +65,8 @@ class TestNpzRoundTrip:
         mapped = load_trace_npz(tmp_path / "t.npz", mmap_mode="r")
 
         def run(columns):
-            return run_tracking_arrays(
-                DeterministicCounter(4, 0.1).build_network(),
-                columns.times,
-                columns.sites,
-                columns.deltas,
-                record_every=100,
+            return run_tracking(
+                DeterministicCounter(4, 0.1).build_network(), columns, record_every=100
             )
 
         eager = run(trace)

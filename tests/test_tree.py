@@ -21,7 +21,6 @@ import pytest
 from repro.asynchrony import (
     UniformLatency,
     async_channels,
-    run_tracking_async,
 )
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.exceptions import ConfigurationError
@@ -332,8 +331,8 @@ class TestAsyncTree:
             fanout=4,
             channel_factory=async_channels([4], latency, seed=11),
         )
-        a = run_tracking_async(legacy, list(updates), record_every=100)
-        b = run_tracking_async(tree, list(updates), record_every=100)
+        a = run_tracking(legacy, list(updates), record_every=100)
+        b = run_tracking(tree, list(updates), record_every=100)
         assert [
             (r.time, r.estimate, r.messages, r.bits) for r in a.records
         ] == [(r.time, r.estimate, r.messages, r.bits) for r in b.records]
@@ -350,7 +349,7 @@ class TestAsyncTree:
             fanout=2,
             channel_factory=async_channels([2, 2], UniformLatency(0.0, 3.0), seed=5),
         )
-        result = run_tracking_async(net, _updates(3000, 12), record_every=300)
+        result = run_tracking(net, _updates(3000, 12), record_every=300)
         total = sum(leaf.network.estimate() for leaf in net.leaves())
         assert result.final_estimate == pytest.approx(total)
         assert result.levels is not None and len(result.levels) == 3
@@ -362,7 +361,7 @@ class TestAsyncTree:
             fanout=2,
             channel_factory=async_channels([2, 2], UniformLatency(1.0, 3.0), seed=2),
         )
-        run_tracking_async(net, _updates(2000, 8), record_every=200)
+        run_tracking(net, _updates(2000, 8), record_every=200)
         # Every level saw deliveries with real in-flight time.
         for channel in net.channel.channels:
             assert channel.delivered_count > 0

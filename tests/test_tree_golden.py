@@ -1,11 +1,13 @@
-"""Golden fingerprints: tree runs pinned bit-for-bit against stored data.
+"""Golden fingerprints: tree and flat runs pinned bit-for-bit against stored data.
 
 The equivalence suites compare one build of a tree with another build of
-the same tree, so a change to how trees are wired cannot be caught by them
-alone.  This file pins the *outputs* instead: every case below runs a fixed
-workload through ``build_tree_network`` and compares a fingerprint of
-everything the run reports — records, totals, per-kind counts (in key
-order), per-level rows, ``shard_stats()``, asynchronous staleness and
+the same tree, so a change to how trees are wired or driven cannot be
+caught by them alone.  This file pins the *outputs* instead: every case
+below runs a fixed workload through ``build_tree_network`` (trees and the
+flat star, on every engine and transport, and the runner's default engine
+choice) and compares a fingerprint of everything the run reports — records,
+totals, per-kind counts (in key order), per-level rows, ``shard_stats()``
+(a flat star's channel stats), asynchronous staleness and
 settled state, reliability counters and, for logged runs, digests of the
 root and leaf transcripts (and, for the traced run, of the trace log, whose
 event order follows the order the tree drives its channels) — with
@@ -27,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.asynchrony import UniformLatency, async_channels, run_tracking_async
+from repro.asynchrony import UniformLatency, async_channels
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.faults import FaultPlan, enable_close_repair
 from repro.monitoring import (
@@ -35,10 +37,10 @@ from repro.monitoring import (
     build_tree_network,
     migrate_site,
     run_tracking,
-    run_tracking_arrays,
 )
 from repro.observability import TraceLog, instrument_network
 from repro.streams import BlockedAssignment, assign_sites, random_walk_stream
+from repro.streams.io import TraceColumns
 
 GOLDEN = Path(__file__).parent / "data" / "tree_golden.json"
 EPSILON = 0.1
@@ -88,8 +90,11 @@ def fingerprint(result, network) -> dict:
         "total_bits": result.total_bits,
         "messages_by_kind": list(result.messages_by_kind.items()),
         "levels": result.levels,
-        "shard_stats": [_stats(stats) for stats in network.shard_stats()],
     }
+    if hasattr(network, "shard_stats"):
+        data["shard_stats"] = [_stats(stats) for stats in network.shard_stats()]
+    else:
+        data["stats"] = _stats(network.stats)
     if hasattr(result, "final_clock"):
         staleness = result.staleness
         data["staleness"] = [
@@ -119,11 +124,13 @@ def _updates(length=3_000, block=48, seed=7):
 
 def _run_sync(network, updates, engine, record_every=10):
     if engine == "arrays":
-        return run_tracking_arrays(
+        return run_tracking(
             network,
-            np.array([u.time for u in updates]),
-            np.array([u.site for u in updates]),
-            np.array([u.delta for u in updates]),
+            TraceColumns(
+                np.array([u.time for u in updates]),
+                np.array([u.site for u in updates]),
+                np.array([u.delta for u in updates]),
+            ),
             record_every=record_every,
         )
     return run_tracking(
@@ -132,6 +139,7 @@ def _run_sync(network, updates, engine, record_every=10):
 
 
 SYNC_SHAPES = {
+    "flat": lambda: build_tree_network(DeterministicCounter(SITES, EPSILON), fanouts=[]),
     "fanouts3": lambda: build_tree_network(
         DeterministicCounter(SITES, EPSILON), fanouts=[3]
     ),
@@ -151,13 +159,15 @@ SYNC_SHAPES = {
 
 JITTER = UniformLatency(0.5, 3.0)
 
+FANOUTS = {"levels3": [2, 2], "flat": []}
 
-def _async_tree(factory, faults=None, seed=11):
+
+def _async_network(factory, faults=None, seed=11, shape="levels3"):
+    fanouts = FANOUTS[shape]
     return build_tree_network(
         factory,
-        levels=3,
-        fanout=2,
-        channel_factory=async_channels([2, 2], JITTER, seed=seed, faults=faults),
+        fanouts=fanouts,
+        channel_factory=async_channels(fanouts, JITTER, seed=seed, faults=faults),
     )
 
 
@@ -171,12 +181,12 @@ def _case_sync(shape, engine, log=False):
     return run
 
 
-def _case_async(batched, log=False):
+def _case_async(batched, log=False, shape="levels3"):
     def run():
-        network = _async_tree(DeterministicCounter(SITES, EPSILON))
+        network = _async_network(DeterministicCounter(SITES, EPSILON), shape=shape)
         if log:
             network.channel.enable_log()
-        result = run_tracking_async(
+        result = run_tracking(
             network, _updates(), record_every=10, batched=batched
         )
         return fingerprint(result, network)
@@ -184,20 +194,40 @@ def _case_async(batched, log=False):
     return run
 
 
-def _case_lossy():
-    network = _async_tree(
-        DeterministicCounter(SITES, EPSILON), faults=FaultPlan(loss=0.1, seed=5)
-    )
-    enable_close_repair(network)
-    result = run_tracking_async(network, _updates(length=2_000), record_every=10)
-    return fingerprint(result, network)
+def _case_lossy(shape):
+    def run():
+        network = _async_network(
+            DeterministicCounter(SITES, EPSILON),
+            faults=FaultPlan(loss=0.1, seed=5),
+            shape=shape,
+        )
+        enable_close_repair(network)
+        result = run_tracking(network, _updates(length=2_000), record_every=10)
+        return fingerprint(result, network)
+
+    return run
+
+
+def _case_auto(asynchronous, shape):
+    """The runner's default engine choice (no ``batched``), ``record_every > 1``."""
+
+    def run():
+        factory = DeterministicCounter(SITES, EPSILON)
+        if asynchronous:
+            network = _async_network(factory, shape=shape)
+        else:
+            network = build_tree_network(factory, fanouts=FANOUTS[shape])
+        result = run_tracking(network, _updates(), record_every=10)
+        return fingerprint(result, network)
+
+    return run
 
 
 def _case_traced():
-    network = _async_tree(DeterministicCounter(SITES, EPSILON))
+    network = _async_network(DeterministicCounter(SITES, EPSILON))
     trace = TraceLog(capacity=1_000_000)
     instrument_network(network, trace=trace)
-    result = run_tracking_async(network, _updates(), record_every=10)
+    result = run_tracking(network, _updates(), record_every=10)
     data = fingerprint(result, network)
     data["trace"] = _digest(trace.to_dicts())
     data["trace_events"] = len(trace)
@@ -208,16 +238,15 @@ def _case_migration(asynchronous):
     def run():
         factory = DeterministicCounter(SITES, EPSILON)
         network = (
-            _async_tree(factory)
+            _async_network(factory)
             if asynchronous
             else build_tree_network(factory, levels=3, fanout=2)
         )
-        runner = run_tracking_async if asynchronous else run_tracking
         updates = _updates()
         head, tail = updates[:1_500], updates[1_500:]
-        before = runner(network, head, record_every=10)
+        before = run_tracking(network, head, record_every=10)
         report = migrate_site(network, 1, dest_leaf=3, time=head[-1].time)
-        after = runner(network, tail, record_every=10)
+        after = run_tracking(network, tail, record_every=10)
         return {
             "before": fingerprint(before, network),
             "report": [
@@ -244,11 +273,19 @@ CASES = {
     "sync-levels3_strided-batched-logged": _case_sync(
         "levels3_strided", "batched", log=True
     ),
-    "async-levels3-per-update": _case_async(False),
-    "async-levels3-batched": _case_async(True),
+    **{
+        f"async-{shape}-{engine}": _case_async(engine == "batched", shape=shape)
+        for shape in FANOUTS
+        for engine in ("per-update", "batched")
+    },
     "async-levels3-per-update-logged": _case_async(False, log=True),
     "async-levels3-per-update-traced": _case_traced,
-    "lossy-levels3-repair": _case_lossy,
+    **{f"lossy-{shape}-repair": _case_lossy(shape) for shape in FANOUTS},
+    **{
+        f"auto-{transport}-{shape}": _case_auto(transport == "async", shape)
+        for transport in ("sync", "async")
+        for shape in FANOUTS
+    },
     "migration-sync": _case_migration(False),
     "migration-async": _case_migration(True),
 }

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.asynchrony import (
     async_channels,
-    run_tracking_async,
 )
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.monitoring import (
@@ -136,8 +135,8 @@ def test_two_level_async_tree_is_bitwise_the_sharded_async_network(
         fanout=num_shards,
         channel_factory=async_channels([num_shards], latency, seed=19),
     )
-    a = run_tracking_async(legacy, list(updates), record_every=17)
-    b = run_tracking_async(tree, list(updates), record_every=17)
+    a = run_tracking(legacy, list(updates), record_every=17)
+    b = run_tracking(tree, list(updates), record_every=17)
     assert _fingerprint(a) == _fingerprint(b)
     assert a.final_clock == b.final_clock
 
