@@ -7,7 +7,10 @@ synchronous channel — but delivery happens later: each message is held in
 flight and handed to its destination handler at a scheduled virtual time,
 ``send instant + sampled latency``.  The channel owns the virtual clock; the
 runner (:func:`repro.monitoring.runner.run_tracking`) advances it as stream
-updates arrive and drains the queue after the last one.
+updates arrive and drains the queue after the last one.  In-flight messages
+wait in an :class:`~repro.asynchrony.events.EventScheduler` heap of
+``(due, seq, payload)`` named tuples; a clock step with nothing due only
+raises the clock, so an idle channel costs one comparison per step.
 
 Ordering semantics are explicit:
 
@@ -28,7 +31,6 @@ engine is bit-for-bit identical to the synchronous one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -47,7 +49,6 @@ __all__ = ["InFlightMessage", "AsyncChannel"]
 Link = Tuple[str, int]
 
 
-@dataclass(frozen=True)
 class InFlightMessage:
     """One transmission travelling through the asynchronous channel.
 
@@ -60,11 +61,21 @@ class InFlightMessage:
         sent_at: Virtual time at which the transmission was sent.
     """
 
-    message: Message
-    handler: Callable[[Message], None]
-    link: Link
-    link_order: int
-    sent_at: float
+    __slots__ = ("message", "handler", "link", "link_order", "sent_at")
+
+    def __init__(
+        self,
+        message: Message,
+        handler: Callable[[Message], None],
+        link: Link,
+        link_order: int,
+        sent_at: float,
+    ) -> None:
+        self.message = message
+        self.handler = handler
+        self.link = link
+        self.link_order = link_order
+        self.sent_at = sent_at
 
 
 class AsyncChannel(Channel):
@@ -263,13 +274,7 @@ class AsyncChannel(Channel):
         delay = max(0.0, float(delay))
         order = self._link_sent.get(link, 0)
         self._link_sent[link] = order + 1
-        item = InFlightMessage(
-            message=message,
-            handler=handler,
-            link=link,
-            link_order=order,
-            sent_at=self._clock,
-        )
+        item = InFlightMessage(message, handler, link, order, self._clock)
         fifo_clear = not self._preserve_order or self._link_pending.get(link, 0) == 0
         if delay == 0.0 and fifo_clear:
             # Synchronous degenerate case: same reentrant delivery as the
@@ -297,6 +302,12 @@ class AsyncChannel(Channel):
             self._link_delivered_high[item.link] = item.link_order
         item.handler(item.message)
 
+    def _handle(self, event) -> None:
+        """Deliver one due event's message (the delivery loops' one hook)."""
+        item = event.payload
+        self._link_pending[item.link] -= 1
+        self._deliver(item, event.due)
+
     def advance_to(self, until: float) -> None:
         """Advance the virtual clock to ``until``, delivering everything due.
 
@@ -304,13 +315,16 @@ class AsyncChannel(Channel):
         that sends further messages (a reply, a broadcast) may have them
         delivered in the same sweep when their due times also fall inside
         the window.  The clock never moves backwards: a stale ``until`` just
-        delivers nothing.
+        delivers nothing.  With nothing due by ``until`` (an idle tree row
+        at most clock steps) the call only raises the clock.
         """
-        for event in self._scheduler.pop_due(float(until)):
-            item = event.payload
-            self._link_pending[item.link] -= 1
-            self._deliver(item, event.due)
-        self._clock = max(self._clock, float(until))
+        until = float(until)
+        due = self._scheduler.next_due
+        if due is not None and due <= until:
+            for event in self._scheduler.pop_due(until):
+                self._handle(event)
+        if until > self._clock:
+            self._clock = until
 
     def drain(self) -> float:
         """Deliver every remaining in-flight message; return the final clock.
@@ -319,7 +333,5 @@ class AsyncChannel(Channel):
         estimate once the last in-flight message lands.
         """
         for event in self._scheduler.pop_all():
-            item = event.payload
-            self._link_pending[item.link] -= 1
-            self._deliver(item, event.due)
+            self._handle(event)
         return self._clock

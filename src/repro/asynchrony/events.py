@@ -7,25 +7,25 @@ broken by a monotonically increasing sequence number (insertion order) rather
 than by object identity.  All randomness in the asynchronous subsystem lives
 in the seeded latency models (:mod:`repro.asynchrony.latency`); the queue
 itself is a pure data structure, so a fixed seed reproduces a run exactly.
+An event is a :class:`~typing.NamedTuple` ``(due, seq, payload)`` ordered
+by the C tuple comparison; ``seq`` is unique, so payloads are never compared.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional
+from typing import Any, Iterator, List, NamedTuple, Optional
 
 from repro.exceptions import ProtocolError
 
 __all__ = ["ScheduledEvent", "EventScheduler"]
 
 
-@dataclass(frozen=True, order=True)
-class ScheduledEvent:
+class ScheduledEvent(NamedTuple):
     """One event in the virtual-time queue.
 
     Ordering is ``(due, seq)``: earlier virtual time first, insertion order
-    among ties.  The payload is excluded from comparisons.
+    among ties.  The payload is never compared.
 
     Attributes:
         due: Virtual time at which the event becomes deliverable.
@@ -36,7 +36,7 @@ class ScheduledEvent:
 
     due: float
     seq: int
-    payload: Any = field(compare=False)
+    payload: Any
 
 
 class EventScheduler:
@@ -64,7 +64,7 @@ class EventScheduler:
         """Schedule ``payload`` at virtual time ``due`` and return the event."""
         if due < 0:
             raise ProtocolError(f"event due time must be >= 0, got {due}")
-        event = ScheduledEvent(due=float(due), seq=self._seq, payload=payload)
+        event = ScheduledEvent(float(due), self._seq, payload)
         self._seq += 1
         heapq.heappush(self._heap, event)
         return event

@@ -76,7 +76,8 @@ class UniformLatency:
     def sample(self, rng: np.random.Generator, sender: int, receiver: int) -> float:
         if self.low == self.high:
             return self.low
-        return float(rng.uniform(self.low, self.high))
+        # The double rng.uniform(low, high) returns, minus its argument checks.
+        return self.low + (self.high - self.low) * rng.random()
 
 
 class HeavyTailLatency:

@@ -35,7 +35,7 @@ from typing import Callable, FrozenSet, Optional
 
 import numpy as np
 
-from repro.asynchrony.channel import AsyncChannel, Link
+from repro.asynchrony.channel import AsyncChannel, InFlightMessage, Link
 from repro.asynchrony.latency import ZERO_LATENCY, LatencyModel
 from repro.exceptions import ConfigurationError
 from repro.faults.loss import NO_LOSS, GilbertElliottLoss, IIDLoss, LossModel
@@ -79,7 +79,10 @@ class RetransmitPolicy:
 
     def rto(self, attempt: int) -> float:
         """Retransmission timeout armed for 0-based attempt ``attempt``."""
-        return min(self.timeout * self.backoff**attempt, self.max_timeout)
+        try:
+            return min(self.timeout * self.backoff**attempt, self.max_timeout)
+        except OverflowError:  # a power past the largest float is past the cap
+            return self.max_timeout
 
 
 @dataclass(frozen=True)
@@ -156,33 +159,21 @@ class FaultPlan:
         return dataclasses.replace(self, seed=seed)
 
 
-class _ReliableTransfer:
+class _ReliableTransfer(InFlightMessage):
     """One logical message moving through the ARQ layer.
 
     Scheduled attempt copies carry the transfer itself as their event
-    payload; it quacks like :class:`InFlightMessage` (message, handler, link,
-    link_order, sent_at) so the base channel's ``_deliver`` — staleness,
-    reordering and observer bookkeeping included — runs unchanged on the
-    winning copy.  ``sent_at`` stays the *first* attempt's send time, so
-    delivery ages honestly include retransmission delay.
+    payload; as an :class:`InFlightMessage`, it lets the base channel's
+    ``_deliver`` — staleness, reordering and observer bookkeeping included —
+    run unchanged on the winning copy.  ``sent_at`` stays the *first*
+    attempt's send time, so delivery ages honestly include retransmission
+    delay.
     """
 
-    __slots__ = ("message", "handler", "link", "link_order", "sent_at",
-                 "attempts", "delivered")
+    __slots__ = ("attempts", "delivered")
 
-    def __init__(
-        self,
-        message: Message,
-        handler: Callable[[Message], None],
-        link: Link,
-        link_order: int,
-        sent_at: float,
-    ) -> None:
-        self.message = message
-        self.handler = handler
-        self.link = link
-        self.link_order = link_order
-        self.sent_at = sent_at
+    def __init__(self, *fields) -> None:
+        super().__init__(*fields)
         self.attempts = 0
         self.delivered = False
 
@@ -259,13 +250,7 @@ class FaultyChannel(AsyncChannel):
             return
         order = self._link_sent.get(link, 0)
         self._link_sent[link] = order + 1
-        transfer = _ReliableTransfer(
-            message=message,
-            handler=handler,
-            link=link,
-            link_order=order,
-            sent_at=self._clock,
-        )
+        transfer = _ReliableTransfer(message, handler, link, order, self._clock)
         self._launch(transfer, delay)
 
     def _launch(self, transfer: _ReliableTransfer, delay: float) -> None:
@@ -331,22 +316,5 @@ class FaultyChannel(AsyncChannel):
             self._link_pending[payload.link] -= 1
             self._arrive(payload, event.due)
         else:
-            # Plain in-flight message from an exempt-kind transmission.
-            self._link_pending[payload.link] -= 1
-            self._deliver(payload, event.due)
-
-    def advance_to(self, until: float) -> None:
-        if self._inert:
-            super().advance_to(until)
-            return
-        until = float(until)
-        for event in self._scheduler.pop_due(until):
-            self._handle(event)
-        self._clock = max(self._clock, until)
-
-    def drain(self) -> float:
-        if self._inert:
-            return super().drain()
-        for event in self._scheduler.pop_all():
-            self._handle(event)
-        return self._clock
+            # Plain in-flight message: an inert plan or an exempt kind.
+            super()._handle(event)

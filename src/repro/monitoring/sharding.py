@@ -240,6 +240,8 @@ class ShardCoordinator:
         #: Pushes withheld by the deadband (saved uplink messages).
         self.pushes_suppressed = 0
         self.push_deadband = 0.0
+        # Channel deliveries as of this row's last clock-step estimate check.
+        self._delivered_seen = 0
         if self.children:
             self._route_children()
 
@@ -780,6 +782,16 @@ class ShardedNetwork:
         parent cannot receive knowledge before its child had it.  Requires
         latency-aware channels at every level
         (:func:`repro.asynchrony.async_channels`).
+
+        The walk works only where something happened: an idle channel just
+        raises its clock, and a row re-checks its estimate only if its
+        channel delivered since its last check (a node's estimate moves only
+        on a delivery to its coordinator) or its push deadband is positive
+        (a withheld change counts at every check), so every send and push
+        count is unchanged.  Delivery, :meth:`drain` and migration push
+        their paths unconditionally: delivery also drives synchronous trees,
+        whose span kernel moves a leaf coordinator without a delivery, and
+        migration rebuilds a leaf directly.
         """
         _advance(self._root, until, int(until))
 
@@ -811,7 +823,10 @@ def _advance(row: ShardCoordinator, until: float, time: int) -> None:
     row.network.channel.advance_to(until)
     for child in row.children:
         _advance(child, until, time)
-        child.push_estimate(time)
+        delivered = child.network.channel.delivered_count
+        if delivered != child._delivered_seen or child.push_deadband > 0.0:
+            child._delivered_seen = delivered
+            child.push_estimate(time)
 
 
 def _drain(row: ShardCoordinator) -> List[Channel]:
@@ -826,6 +841,7 @@ def _drain(row: ShardCoordinator) -> List[Channel]:
         now = _now(channels)
         channel.advance_to(now)
         for child in row.children:
+            child._delivered_seen = child.network.channel.delivered_count
             child.push_estimate(int(now))
         channel.drain()
         if _in_flight(channels) == 0:

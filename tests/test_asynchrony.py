@@ -8,6 +8,8 @@ delays), the event-driven runner, and the ``latency`` CLI subcommand.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asynchrony import (
     AsymmetricLatency,
@@ -64,6 +66,19 @@ class TestEventScheduler:
         assert len(scheduler) == 1
         assert scheduler.next_due == 10.0
 
+    def test_ties_with_unorderable_payloads_pop_in_insertion_order(self):
+        # Events are tuples ordered by (due, seq); seq is unique, so two
+        # dicts due at the same time are never compared with each other.
+        scheduler = EventScheduler()
+        first, second, third = {"n": 1}, {"n": 2}, {"n": 3}
+        scheduler.push(2.0, first)
+        scheduler.push(2.0, second)
+        scheduler.push(1.0, third)
+        scheduler.push(2.0, {"n": 4})
+        popped = [event.payload for event in scheduler.pop_due(2.0)]
+        assert popped == [third, first, second, {"n": 4}]
+        assert popped[1] is first and popped[2] is second
+
     def test_rejects_negative_due(self):
         with pytest.raises(ProtocolError):
             EventScheduler().push(-1.0, "x")
@@ -96,6 +111,21 @@ class TestLatencyModels:
         with pytest.raises(ConfigurationError):
             UniformLatency(5.0, 2.0)
         assert UniformLatency(4.0, 4.0).sample(np.random.default_rng(0), 0, 0) == 4.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bounds=st.tuples(
+            st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+            st.floats(0.0, 1e6),
+        ).map(sorted),
+    )
+    def test_uniform_draws_are_rng_uniform_draws(self, seed, bounds):
+        low, high = bounds
+        model = UniformLatency(low, high)
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(16):
+            assert model.sample(ours, 0, COORDINATOR) == reference.uniform(low, high)
 
     def test_heavy_tail_positive_and_capped(self):
         model = HeavyTailLatency(scale=2.0, alpha=1.2, cap=50.0)

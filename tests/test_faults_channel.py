@@ -14,6 +14,7 @@ retransmissions instead of declaring victory early.
 
 import pytest
 
+from repro.api import RunSpec, SourceSpec, TrackerSpec, TransportSpec
 from repro.asynchrony import (
     ConstantLatency,
     UniformLatency,
@@ -54,6 +55,28 @@ class TestRetransmitPolicy:
     def test_rto_backs_off_exponentially_and_caps(self):
         policy = RetransmitPolicy(timeout=2.0, backoff=2.0, max_timeout=10.0)
         assert [policy.rto(i) for i in range(5)] == [2.0, 4.0, 8.0, 10.0, 10.0]
+        # 2.0**1024 is past the largest float: still the cap, not an error.
+        assert policy.rto(1_024) == policy.rto(5_000) == policy.max_timeout
+
+    def test_near_total_loss_run_completes_with_conservation(self):
+        # At loss 0.999 some message needs over 1,024 attempts, past the
+        # float range of the default backoff 2**attempt.
+        spec = RunSpec(
+            source=SourceSpec(stream="random_walk", length=40, sites=2),
+            tracker=TrackerSpec(name="deterministic"),
+            transport=TransportSpec(
+                mode="async",
+                latency="uniform",
+                scale=0.5,
+                seed=1,
+                loss=0.999,
+                loss_seed=2,
+            ),
+            engine="per-update",
+        )
+        result = spec.build().run()
+        assert result.dropped > 1_024
+        assert result.retransmitted == result.dropped + result.duplicates
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):

@@ -13,11 +13,14 @@ Central claims pinned here:
   the total;
 * ``levels=2`` through the tree vocabulary is the legacy sharded hierarchy
   (the bit-for-bit property test lives in ``tests/test_tree_property.py``);
-* push and broadcast deadbands suppress traffic and count what they saved.
+* push and broadcast deadbands suppress traffic and count what they saved;
+* an asynchronous clock step checks only the rows whose channels delivered
+  since their last check (the golden cases pin that the outputs stay).
 """
 
 import pytest
 
+from repro.api import RunSpec, SourceSpec, TopologySpec, TrackerSpec, TransportSpec
 from repro.asynchrony import (
     UniformLatency,
     async_channels,
@@ -28,6 +31,7 @@ from repro.monitoring import (
     ChannelStats,
     GeometricSplit,
     LeafSplit,
+    ShardCoordinator,
     ShardedNetwork,
     StridedSharding,
     UniformSplit,
@@ -47,6 +51,20 @@ from repro.streams import (
 
 def _updates(n, k, seed=7):
     return assign_sites(random_walk_stream(n, seed=seed), k, RoundRobinAssignment())
+
+
+@pytest.fixture
+def push_checks(monkeypatch):
+    """Rows whose ``push_estimate`` ran, one entry per call."""
+    calls = []
+    push = ShardCoordinator.push_estimate
+
+    def counted(row, time):
+        calls.append(row)
+        push(row, time)
+
+    monkeypatch.setattr(ShardCoordinator, "push_estimate", counted)
+    return calls
 
 
 class TestResolveFanouts:
@@ -365,3 +383,53 @@ class TestAsyncTree:
         # Every level saw deliveries with real in-flight time.
         for channel in net.channel.channels:
             assert channel.delivered_count > 0
+
+    def test_clock_step_on_a_quiescent_tree_checks_no_estimate(self, push_checks):
+        net = build_tree_network(
+            DeterministicCounter(8, 0.1),
+            levels=3,
+            fanout=2,
+            channel_factory=async_channels([2, 2], UniformLatency(1.0, 3.0), seed=2),
+        )
+        run_tracking(net, _updates(500, 8), record_every=50)
+        assert net.channel.in_flight == 0
+        estimates = [row.estimate() for row in net.nodes]
+        push_checks.clear()
+        for until in (600, 601.5, 10_000):
+            net.advance_to(until)
+        assert push_checks == []
+        assert [row.estimate() for row in net.nodes] == estimates
+        assert net.channel.now == 10_000
+
+    def test_lossy_tree_checks_at_most_three_estimates_per_update(self, push_checks):
+        # The shape of perfbench's lossy-tree-async workload.  A walk that
+        # checked every row at every clock step would make 8 checks per
+        # update here: 2 on the delivery path and 6 in the walk.
+        length = 5_000
+        spec = RunSpec(
+            source=SourceSpec(
+                stream="biased_walk",
+                length=length,
+                seed=21,
+                sites=8,
+                params={"drift": 0.5},
+            ),
+            tracker=TrackerSpec(name="deterministic", epsilon=0.1),
+            topology=TopologySpec(levels=3, fanout=2),
+            transport=TransportSpec(
+                mode="async",
+                latency="uniform",
+                scale=0.55,
+                seed=22,
+                loss=0.1,
+                loss_model="iid",
+                loss_seed=23,
+                repair=True,
+            ),
+            engine="per-update",
+            record_every=20,
+        )
+        result = spec.build().run()
+        assert result.dropped > 0
+        assert result.retransmitted == result.dropped + result.duplicates
+        assert 2 * length <= len(push_checks) <= 3 * length

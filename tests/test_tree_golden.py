@@ -138,6 +138,8 @@ def _run_sync(network, updates, engine, record_every=10):
     )
 
 
+GEOMETRIC = {"epsilon_split": "geometric", "broadcast_deadband": 0.5}
+
 SYNC_SHAPES = {
     "flat": lambda: build_tree_network(DeterministicCounter(SITES, EPSILON), fanouts=[]),
     "fanouts3": lambda: build_tree_network(
@@ -150,10 +152,7 @@ SYNC_SHAPES = {
         sharding=StridedSharding(),
     ),
     "fanouts32_geometric": lambda: build_tree_network(
-        DeterministicCounter(SITES, EPSILON),
-        fanouts=[3, 2],
-        epsilon_split="geometric",
-        broadcast_deadband=0.5,
+        DeterministicCounter(SITES, EPSILON), fanouts=[3, 2], **GEOMETRIC
     ),
 }
 
@@ -161,13 +160,21 @@ JITTER = UniformLatency(0.5, 3.0)
 
 FANOUTS = {"levels3": [2, 2], "flat": []}
 
+#: Asynchronous shapes: ``(fanouts, builder options)``.  The deadband shape
+#: is the only one whose push and broadcast deadbands withhold messages.
+ASYNC_SHAPES = {
+    **{shape: (fanouts, {}) for shape, fanouts in FANOUTS.items()},
+    "fanouts32_geometric": ([3, 2], GEOMETRIC),
+}
+
 
 def _async_network(factory, faults=None, seed=11, shape="levels3"):
-    fanouts = FANOUTS[shape]
+    fanouts, options = ASYNC_SHAPES[shape]
     return build_tree_network(
         factory,
         fanouts=fanouts,
         channel_factory=async_channels(fanouts, JITTER, seed=seed, faults=faults),
+        **options,
     )
 
 
@@ -278,9 +285,12 @@ CASES = {
         for shape in FANOUTS
         for engine in ("per-update", "batched")
     },
+    "async-fanouts32_geometric-per-update": _case_async(
+        False, shape="fanouts32_geometric"
+    ),
     "async-levels3-per-update-logged": _case_async(False, log=True),
     "async-levels3-per-update-traced": _case_traced,
-    **{f"lossy-{shape}-repair": _case_lossy(shape) for shape in FANOUTS},
+    **{f"lossy-{shape}-repair": _case_lossy(shape) for shape in ASYNC_SHAPES},
     **{
         f"auto-{transport}-{shape}": _case_auto(transport == "async", shape)
         for transport in ("sync", "async")
