@@ -170,8 +170,7 @@ def _measure_million():
     build_start = time.perf_counter()
     network = build_tree_network(
         DeterministicCounter(MILLION_SITES, EPSILON),
-        levels=4,
-        fanout=10,
+        fanouts=[10, 10, 10],
         epsilon_split="geometric",
     )
     build_seconds = time.perf_counter() - build_start
@@ -200,8 +199,7 @@ def _measure_high_touch():
     columns = TraceColumns(times, sites, deltas)
     network = build_tree_network(
         DeterministicCounter(MILLION_SITES, EPSILON),
-        levels=4,
-        fanout=10,
+        fanouts=[10, 10, 10],
         epsilon_split="geometric",
     )
     start = time.perf_counter()

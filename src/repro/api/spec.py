@@ -36,6 +36,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import numbers
 import pathlib
 import typing
@@ -52,16 +53,10 @@ from repro.baselines import (
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.exceptions import ProtocolError, SpecError
 from repro.monitoring.runner import TrackingResult, run_tracking
-from repro.monitoring.sharding import (
-    ContiguousSharding,
-    ShardingPolicy,
-    StridedSharding,
-)
 from repro.monitoring.tree import (
     EPSILON_SPLIT_NAMES,
+    PARTITION_NAMES,
     build_tree_network,
-    resolve_epsilon_split,
-    resolve_fanouts,
 )
 from repro.streams import (
     BlockedAssignment,
@@ -169,9 +164,6 @@ ASSIGNMENT_NAMES = ("round_robin", "blocked", "random", "skewed", "single_site")
 #: jitter on ``[scale/2, 3*scale/2]``, ``heavytail`` is a Pareto tail
 #: around the scale.
 LATENCY_NAMES = ("zero", "constant", "uniform", "heavytail")
-
-#: Site-to-shard partition strategies addressable from a spec.
-PARTITION_NAMES = ("contiguous", "strided")
 
 #: Loss models addressable from a spec (async transport only): ``iid`` drops
 #: every attempt independently, ``burst`` is the Gilbert–Elliott two-state
@@ -439,24 +431,28 @@ class TrackerSpec:
 class TopologySpec:
     """The **topology** axis: flat star, sharded hierarchy, or L-level tree.
 
-    Three equivalent vocabularies, most specific wins:
+    The spec is the only layer with the ``shards``/``levels``/``fanout``
+    shorthands; :meth:`resolve_fanouts` turns them into the one fan-out list
+    :func:`repro.monitoring.tree.build_tree_network` takes.  Two
+    vocabularies, never combined:
 
     * ``shards`` — the legacy axis: ``1`` is the flat star (bit-for-bit, no
-      root hop), above 1 the two-level hierarchy (identical to ``levels=2,
-      fanout=shards``);
-    * ``levels`` + ``fanout`` — a uniform L-level tree from
-      :func:`repro.monitoring.tree.build_tree_network`;
-    * ``fanouts`` — explicit per-level fan-outs, top-down, for ragged trees.
+      root hop), above 1 the two-level hierarchy ``[shards]``; any tree
+      field set beside ``shards > 1`` is refused;
+    * the tree fields — ``levels`` + ``fanout`` for a uniform tree
+      (``levels=1`` alone is the flat star), or ``fanouts`` for explicit
+      per-level fan-outs, top-down.  ``fanout`` and ``fanouts`` are
+      mutually exclusive, and a ``levels`` given with ``fanouts`` must
+      equal ``len(fanouts) + 1``.
 
     Attributes:
         shards: Coordinator shards for the legacy two-level vocabulary.
-        partition: Site-to-shard partition strategy from
+        partition: Site-to-shard partition rule from
             :data:`PARTITION_NAMES`, applied at every split of a tree.
         levels: Total coordinator levels of a uniform tree (with ``fanout``).
         fanout: Per-level fan-out of a uniform tree (with ``levels``).
-        fanouts: Explicit per-level fan-outs, top-down (overrides the
-            uniform vocabulary).
-        epsilon_split: Per-level error-budget policy name from
+        fanouts: Explicit per-level fan-outs, top-down.
+        epsilon_split: Per-level error-budget rule name from
             :data:`repro.monitoring.tree.EPSILON_SPLIT_NAMES`; ``"leaf"``
             (default) keeps the whole budget at the leaf trackers,
             aggregation relaying exactly — the legacy behaviour.
@@ -485,15 +481,57 @@ class TopologySpec:
     def resolve_fanouts(self) -> List[int]:
         """Per-aggregation-level fan-outs, top-down (empty = flat star).
 
-        Normalises all three vocabularies: the legacy ``shards`` axis maps
-        to ``[shards]`` (or ``[]`` for one shard), the tree axes go through
-        :func:`repro.monitoring.tree.resolve_fanouts`.
+        ``shards`` maps to ``[shards]`` (``[]`` for one shard); ``levels +
+        fanout`` expands to a uniform list; ``fanouts`` is taken as given.
+        A contradictory or incomplete shape raises a :class:`SpecError`
+        naming the field.
         """
-        if self.is_tree():
-            return resolve_fanouts(
-                levels=self.levels, fanout=self.fanout, fanouts=self.fanouts
+        if not self.is_tree():
+            return [self.shards] if self.shards > 1 else []
+        if self.fanouts is not None:
+            resolved = [int(fan) for fan in self.fanouts]
+            if self.fanout is not None:
+                raise SpecError(
+                    "topology.fanout and topology.fanouts are mutually "
+                    "exclusive; give the uniform fan-out or the explicit "
+                    "per-level list, not both"
+                )
+            if self.levels is not None and self.levels != len(resolved) + 1:
+                raise SpecError(
+                    f"topology.levels={self.levels} disagrees with "
+                    f"topology.fanouts={resolved} (a {len(resolved)}-entry "
+                    f"fan-out list describes {len(resolved) + 1} levels)"
+                )
+        elif self.levels is None:
+            raise SpecError(
+                f"topology.fanout={self.fanout} needs topology.levels (or "
+                "give an explicit topology.fanouts list)"
             )
-        return [self.shards] if self.shards > 1 else []
+        elif self.levels < 1:
+            raise SpecError(f"topology.levels must be >= 1, got {self.levels}")
+        elif self.levels == 1:
+            if self.fanout is not None:
+                raise SpecError(
+                    "topology.levels=1 is the flat topology and takes no "
+                    f"topology.fanout (got {self.fanout})"
+                )
+            resolved = []
+        elif self.fanout is None:
+            raise SpecError(
+                f"topology.levels={self.levels} needs a topology.fanout (or "
+                "an explicit topology.fanouts list)"
+            )
+        else:
+            resolved = [int(self.fanout)] * (self.levels - 1)
+        if any(fan < 2 for fan in resolved):
+            field_path = (
+                "topology.fanouts" if self.fanouts is not None else "topology.fanout"
+            )
+            raise SpecError(
+                f"{field_path}: every aggregation level needs fan-out >= 2, "
+                f"got {resolved}"
+            )
+        return resolved
 
     def validate(self) -> None:
         if self.shards < 1:
@@ -522,18 +560,8 @@ class TopologySpec:
                 f"topology.broadcast_deadband must be >= 0, got "
                 f"{self.broadcast_deadband}"
             )
-        if self.is_tree():
-            # Shape errors (fanout without levels, fanout < 2, disagreeing
-            # levels/fanouts) surface here, before any network is built.
-            self.resolve_fanouts()
-        resolve_epsilon_split(self.epsilon_split, self.split_ratio)
-
-    def build_partition(self) -> ShardingPolicy:
-        """Instantiate the named partition strategy."""
-        return {
-            "contiguous": ContiguousSharding,
-            "strided": StridedSharding,
-        }[self.partition]()
+        # Shape errors surface here, before any network is built.
+        self.resolve_fanouts()
 
 
 @dataclass
@@ -790,9 +818,7 @@ class RunSpec:
         if (
             self.source.stream is not None or self.source.live
         ) and self.topology.is_tree():
-            min_leaves = 1
-            for fan in self.topology.resolve_fanouts():
-                min_leaves *= fan
+            min_leaves = math.prod(self.topology.resolve_fanouts())
             if min_leaves > self.source.sites:
                 raise SpecError(
                     f"the topology's {min_leaves} leaf shards each need at "
@@ -1025,7 +1051,7 @@ class RunSpec:
         network = build_tree_network(
             factory,
             fanouts=fanouts,
-            sharding=self.topology.build_partition(),
+            partition=self.topology.partition,
             epsilon_split=self.topology.epsilon_split,
             split_ratio=self.topology.split_ratio,
             broadcast_deadband=self.topology.broadcast_deadband,

@@ -30,13 +30,15 @@ groups each run an unmodified coordinator locally at the leaves, and every
 aggregator row's :class:`RootAggregator` merges its children's estimates
 over another counted channel — communication stays separately accounted
 per node.
-:func:`build_tree_network` is the one network builder: ``fanouts=[]`` is
-the flat star, ``fanouts=[S]`` the two-level hierarchy and deeper lists
-L-level trees, with the error budget split across levels
-(:func:`resolve_epsilon_split`) and live site migration between leaf shards
-(:func:`migrate_site`).  Its ``channel_factory`` argument is the one
-transport seam (:func:`repro.asynchrony.async_channels` for latency and
-loss).
+:func:`build_tree_network` is the one network builder and takes a tree as
+a fan-out list and two rule names: ``fanouts=[]`` is the flat star,
+``fanouts=[S]`` the two-level hierarchy and deeper lists L-level trees;
+``partition`` names how a node's sites split among its children
+(:func:`partition_sites`) and ``epsilon_split`` how the error budget splits
+across levels (:func:`split_budgets`).  Its ``channel_factory`` argument
+is the one transport seam (:func:`repro.asynchrony.async_channels` for
+latency and loss).  :func:`migrate_site` moves a site between leaf shards
+live.
 """
 
 from repro.monitoring.channel import Channel, ChannelStats
@@ -53,26 +55,20 @@ from repro.monitoring.messages import (
 from repro.monitoring.network import MonitoringNetwork
 from repro.monitoring.runner import TrackingResult, run_tracking
 from repro.monitoring.sharding import (
-    ContiguousSharding,
     RootAggregator,
     ShardCoordinator,
     ShardedNetwork,
-    ShardingPolicy,
-    StridedSharding,
 )
 from repro.monitoring.site import Site
 from repro.monitoring.tree import (
     EPSILON_SPLIT_NAMES,
-    EpsilonSplitPolicy,
-    GeometricSplit,
-    LeafSplit,
+    PARTITION_NAMES,
     MigrationReport,
-    UniformSplit,
     build_tree_network,
     leaf_groups,
     migrate_site,
-    resolve_epsilon_split,
-    resolve_fanouts,
+    partition_sites,
+    split_budgets,
 )
 
 __all__ = [
@@ -89,20 +85,14 @@ __all__ = [
     "MonitoringNetwork",
     "TrackingResult",
     "run_tracking",
-    "ContiguousSharding",
     "RootAggregator",
     "ShardCoordinator",
     "ShardedNetwork",
-    "ShardingPolicy",
-    "StridedSharding",
     "Site",
+    "PARTITION_NAMES",
     "EPSILON_SPLIT_NAMES",
-    "EpsilonSplitPolicy",
-    "LeafSplit",
-    "UniformSplit",
-    "GeometricSplit",
-    "resolve_epsilon_split",
-    "resolve_fanouts",
+    "partition_sites",
+    "split_budgets",
     "build_tree_network",
     "leaf_groups",
     "MigrationReport",

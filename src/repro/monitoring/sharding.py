@@ -68,79 +68,12 @@ from repro.monitoring.network import MonitoringNetwork
 from repro.monitoring.site import Site
 
 __all__ = [
-    "ShardingPolicy",
-    "ContiguousSharding",
-    "StridedSharding",
     "ShardUplink",
     "ShardCoordinator",
     "RootAggregator",
     "ShardedChannelView",
     "ShardedNetwork",
 ]
-
-
-def _check_shard_counts(num_sites: int, num_shards: int) -> None:
-    if num_sites < 1:
-        raise ConfigurationError(f"num_sites must be >= 1, got {num_sites}")
-    if not 1 <= num_shards <= num_sites:
-        raise ConfigurationError(
-            f"num_shards must be in 1..{num_sites} (one site per shard at "
-            f"least), got {num_shards}"
-        )
-
-
-class ShardingPolicy:
-    """Protocol for policies partitioning global site ids into shard groups.
-
-    ``partition(num_sites, num_shards)`` must return ``num_shards`` disjoint,
-    non-empty groups of global site ids that together cover
-    ``range(num_sites)``.  The order of ids within a group defines the
-    shard-local site ids ``0..len(group) - 1``.
-    """
-
-    def partition(self, num_sites: int, num_shards: int) -> List[List[int]]:
-        raise NotImplementedError
-
-
-class ContiguousSharding(ShardingPolicy):
-    """Each shard owns a contiguous range of sites, balanced to within one.
-
-    The natural layout for blocked ingestion: consecutive site ids land in
-    the same shard, so contiguous site runs stay shard-local.
-    """
-
-    def partition(self, num_sites: int, num_shards: int) -> List[Sequence[int]]:
-        _check_shard_counts(num_sites, num_shards)
-        base, extra = divmod(num_sites, num_shards)
-        groups: List[Sequence[int]] = []
-        start = 0
-        for shard_id in range(num_shards):
-            size = base + (1 if shard_id < extra else 0)
-            # Groups are ``range`` objects: consumers only index/iterate
-            # them, and keeping them symbolic lets the sharded network
-            # route contiguous layouts arithmetically instead of building
-            # O(k) dictionaries per tree level.
-            groups.append(range(start, start + size))
-            start += size
-        return groups
-
-
-class StridedSharding(ShardingPolicy):
-    """Site ``i`` goes to shard ``i mod num_shards`` (round-robin interleave).
-
-    Spreads a round-robin site assignment evenly over the shards, the
-    balanced counterpart to :class:`ContiguousSharding` for interleaved
-    workloads.
-    """
-
-    def partition(self, num_sites: int, num_shards: int) -> List[Sequence[int]]:
-        _check_shard_counts(num_sites, num_shards)
-        # ``range`` groups sharing the one stop ``num_sites``: the sharded
-        # network routes this layout with a ``divmod`` instead of building
-        # a per-site dictionary at every tree level.
-        return [
-            range(shard_id, num_sites, num_shards) for shard_id in range(num_shards)
-        ]
 
 
 class ShardUplink(Site):
@@ -196,8 +129,8 @@ class ShardCoordinator:
         push_deadband: Relative budget for upward pushes: a new estimate is
             withheld while ``|new - last| <= push_deadband * |last|``.  The
             default 0.0 pushes on any change (the exact legacy behaviour);
-            positive values are assigned by the tree builder's epsilon-split
-            policy and trade parent-leg traffic for bounded per-hop error.
+            positive values are assigned by the tree builder's epsilon split
+            and trade parent-leg traffic for bounded per-hop error.
     """
 
     def __init__(
@@ -249,12 +182,13 @@ class ShardCoordinator:
         """Map this node's site ids to ``(child, child-local id)``.
 
         When every child owns a contiguous, in-order range of the id space
-        (the default ContiguousSharding layout), or child ``i`` owns
-        ``range(i, k, S)`` (the StridedSharding layout), the map is pure
+        (the ``"contiguous"`` partition), or child ``i`` owns
+        ``range(i, k, S)`` (the ``"strided"`` partition), the map is pure
         arithmetic — disjointness and 0..k-1 coverage hold by construction,
         and no per-site dictionary is built (a million-site tree would
-        otherwise pay O(k) per level).  Any other layout falls back to the
-        explicit validated dictionary.
+        otherwise pay O(k) per level).  Any other layout (a migration
+        relabels the id spaces with tuples) falls back to the explicit
+        validated dictionary.
         """
         self._route: Optional[Dict[int, Tuple["ShardCoordinator", int]]] = None
         self._starts: Optional[List[int]] = None
@@ -296,11 +230,6 @@ class ShardCoordinator:
             local_id, index = divmod(site_id, self._stride)
             return self.children[index], local_id
         return self._route[site_id]
-
-    @property
-    def is_leaf(self) -> bool:
-        """Whether this node serves real sites (has no children)."""
-        return not self.children
 
     @property
     def num_sites(self) -> int:
@@ -638,13 +567,6 @@ class ShardedNetwork:
     def leaves(self) -> List[ShardCoordinator]:
         """All leaf rows (the ones serving real sites), left to right."""
         return list(self._levels[-1])
-
-    def shard_of(self, site_id: int) -> ShardCoordinator:
-        """Return the root's child that owns global site ``site_id``."""
-        row = self._leaf(site_id)[0]
-        while row.parent is not self._root:
-            row = row.parent
-        return row
 
     def _leaf(self, site_id: int) -> Tuple[ShardCoordinator, int]:
         """The leaf row serving global site ``site_id``, and its local id."""

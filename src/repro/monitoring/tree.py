@@ -6,26 +6,31 @@ budget ``eps`` across the levels, and supports *live migration* of a site
 between leaf shards with an exact state handoff.
 
 Topology
-    :func:`build_tree_network` is the one network builder.  It takes
-    per-level fan-outs (top-down) and builds, in one depth-first pass, the
-    node table of a single
-    :class:`~repro.monitoring.sharding.ShardedNetwork`: aggregators over
-    aggregators until the leaves, each leaf an unmodified flat tracker over
-    its site group.  No fan-outs is the flat star itself, and ``fanouts=[S]``
-    is the two-level sharded hierarchy.  The transport is the
-    ``channel_factory`` argument alone
-    (:func:`repro.asynchrony.async_channels` for latency and loss).
+    :func:`build_tree_network` is the one network builder, and a tree is
+    three decisions: a fan-out list (top-down), the name of the rule that
+    splits a node's sites among its children (:func:`partition_sites`) and
+    the name of the rule that splits ``eps`` across the levels
+    (:func:`split_budgets`).  It builds, in one depth-first pass, the node
+    table of a single :class:`~repro.monitoring.sharding.ShardedNetwork`:
+    aggregators over aggregators until the leaves, each leaf an unmodified
+    flat tracker over its site group.  No fan-outs is the flat star itself,
+    and ``fanouts=[S]`` is the two-level sharded hierarchy.  The transport is
+    the ``channel_factory`` argument alone
+    (:func:`repro.asynchrony.async_channels` for latency and loss).  The
+    ``shards``/``levels``/``fanout`` shorthands are the spec layer's
+    (:meth:`repro.api.TopologySpec.resolve_fanouts`); this layer takes only
+    the fan-out list.
 
 Error budget
-    An :class:`EpsilonSplitPolicy` divides ``eps`` into one budget per
-    level, top-down: budgets for the aggregation levels become relative
+    :func:`split_budgets` divides ``eps`` into one budget per level,
+    top-down: budgets for the aggregation levels become relative
     *push deadbands* (a child withholds a new estimate while it moved less
     than ``b_l`` relative to the last push), and the last budget is the
     ``eps`` the leaf trackers are built with.  Each hop's relative error is
     bounded by its budget, so the root's end-to-end relative error is
     bounded by ``prod(1 + b_l) - 1`` — for budgets summing to ``eps`` this
     is ``eps`` to first order (and at most ``e^eps - 1``).  The default
-    :class:`LeafSplit` puts the whole budget at the leaves (zero deadbands),
+    ``"leaf"`` rule puts the whole budget at the leaves (zero deadbands),
     which preserves the legacy exact-merge behaviour bit for bit.
 
 Migration
@@ -44,6 +49,7 @@ Migration
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -57,193 +63,83 @@ from repro.monitoring.messages import (
 )
 from repro.monitoring.network import MonitoringNetwork
 from repro.monitoring.sharding import (
-    ContiguousSharding,
     RootAggregator,
     ShardCoordinator,
     ShardedNetwork,
-    ShardingPolicy,
 )
 
 __all__ = [
+    "PARTITION_NAMES",
     "EPSILON_SPLIT_NAMES",
-    "EpsilonSplitPolicy",
-    "LeafSplit",
-    "UniformSplit",
-    "GeometricSplit",
-    "resolve_epsilon_split",
-    "resolve_fanouts",
+    "partition_sites",
+    "split_budgets",
     "build_tree_network",
     "leaf_groups",
     "MigrationReport",
     "migrate_site",
 ]
 
-#: Epsilon-split policies addressable by name (spec/CLI vocabulary).
+#: Site-partition rules addressable by name (spec/CLI vocabulary).
+PARTITION_NAMES = ("contiguous", "strided")
+
+#: Error-budget split rules addressable by name (spec/CLI vocabulary).
 EPSILON_SPLIT_NAMES = ("leaf", "uniform", "geometric")
 
 
 # --------------------------------------------------------------------------
-# Error-budget split policies.
+# The two rules a tree applies: site partition and error-budget split.
 # --------------------------------------------------------------------------
 
-class EpsilonSplitPolicy:
-    """Protocol for dividing the error budget across the tree's levels.
+def partition_sites(num_sites: int, fan: int, name: str) -> List[range]:
+    """Split the ids ``0..num_sites-1`` into ``fan`` groups by the named rule.
 
-    ``split(epsilon, levels)`` returns one budget per level, top-down:
-    entries ``0 .. levels - 2`` are the relative push deadbands of the
-    aggregation levels (index 0 = pushes into the root), the last entry is
-    the ``eps`` the leaf trackers run with.  Budgets must be non-negative,
-    the leaf budget positive, and their sum must not exceed ``epsilon`` —
-    that is what keeps the end-to-end bound ``prod(1 + b_l) - 1 <= e^eps - 1``.
+    ``name`` is one of :data:`PARTITION_NAMES` (the builder checks it).
+    ``"contiguous"``: group ``g`` is a contiguous range starting at
+    ``g * base + min(g, extra)`` (``base, extra = divmod(num_sites, fan)``),
+    so sizes are balanced to within one and blocked ingestion stays
+    group-local.  ``"strided"``: group ``g`` is ``range(g, num_sites, fan)``,
+    the round-robin interleave.  An id's position in its group is its id in
+    the child's space.  Groups stay ``range`` objects, so a node routes
+    either layout arithmetically instead of building a per-site table.
     """
+    if name == "strided":
+        return [range(group, num_sites, fan) for group in range(fan)]
+    base, extra = divmod(num_sites, fan)
+    groups, start = [], 0
+    for group in range(fan):
+        stop = start + base + (group < extra)
+        groups.append(range(start, stop))
+        start = stop
+    return groups
 
-    def split(self, epsilon: float, levels: int) -> List[float]:
-        raise NotImplementedError
 
+def split_budgets(
+    name: str, epsilon: float, levels: int, ratio: float = 0.5
+) -> List[float]:
+    """Divide ``epsilon`` into one budget per level, top-down, by the named rule.
 
-class LeafSplit(EpsilonSplitPolicy):
-    """All budget at the leaf trackers; aggregation relays exactly.
-
-    Zero deadbands at every aggregation level mean every estimate change
-    propagates to the root — the legacy exact-merge hierarchy, and the
-    default: a two-level tree under this policy is bit-for-bit the
-    pre-refactor sharded network.
+    ``name`` is one of :data:`EPSILON_SPLIT_NAMES` (the builder checks it).
+    Entries ``0 .. levels - 2`` are the relative push deadbands of the
+    aggregation levels (index 0 = pushes into the root), the last is the
+    ``eps`` the leaf trackers run with; the budgets sum to ``epsilon``.
+    ``"leaf"`` puts it all at the leaves (aggregation relays exactly),
+    ``"uniform"`` gives every level ``epsilon / levels``, and
+    ``"geometric"`` weights level ``l`` by ``ratio ** (levels - 1 - l)``,
+    normalised (leaf largest; with ``ratio = 0.5`` and three levels the
+    split is ``eps * (1/7, 2/7, 4/7)``).
     """
-
-    def split(self, epsilon: float, levels: int) -> List[float]:
-        return [0.0] * (levels - 1) + [float(epsilon)]
-
-
-class UniformSplit(EpsilonSplitPolicy):
-    """Equal budgets: every level gets ``eps / levels``."""
-
-    def split(self, epsilon: float, levels: int) -> List[float]:
-        share = float(epsilon) / levels
-        return [share] * levels
-
-
-class GeometricSplit(EpsilonSplitPolicy):
-    """Geometrically decreasing budgets towards the root.
-
-    The leaf level gets the largest share (it does the actual tracking) and
-    each aggregation level above gets ``ratio`` times the share below it,
-    normalised so the budgets sum to ``eps`` exactly.  With the default
-    ``ratio = 0.5`` and three levels the split is ``eps * (1/7, 2/7, 4/7)``
-    top-down.
-    """
-
-    def __init__(self, ratio: float = 0.5) -> None:
-        if not 0.0 < ratio < 1.0:
-            raise ConfigurationError(
-                f"geometric split ratio must be in (0, 1), got {ratio}"
-            )
-        self.ratio = ratio
-
-    def split(self, epsilon: float, levels: int) -> List[float]:
-        weights = [self.ratio ** (levels - 1 - level) for level in range(levels)]
+    if name == "uniform":
+        return [float(epsilon) / levels] * levels
+    if name == "geometric":
+        weights = [ratio ** (levels - 1 - level) for level in range(levels)]
         total = sum(weights)
         return [float(epsilon) * weight / total for weight in weights]
-
-
-def resolve_epsilon_split(policy, ratio: float = 0.5) -> EpsilonSplitPolicy:
-    """Resolve a policy instance or a name from :data:`EPSILON_SPLIT_NAMES`."""
-    if isinstance(policy, EpsilonSplitPolicy):
-        return policy
-    if policy is None or policy == "leaf":
-        return LeafSplit()
-    if policy == "uniform":
-        return UniformSplit()
-    if policy == "geometric":
-        return GeometricSplit(ratio)
-    raise ConfigurationError(
-        f"unknown epsilon split {policy!r}; pick one of "
-        f"{sorted(EPSILON_SPLIT_NAMES)} or pass an EpsilonSplitPolicy"
-    )
-
-
-def _split_budgets(
-    policy: EpsilonSplitPolicy, epsilon: float, levels: int
-) -> List[float]:
-    """Run the policy and validate its output against the contract."""
-    budgets = [float(b) for b in policy.split(epsilon, levels)]
-    if len(budgets) != levels:
-        raise ConfigurationError(
-            f"{type(policy).__name__} returned {len(budgets)} budgets for "
-            f"{levels} levels"
-        )
-    if any(budget < 0.0 for budget in budgets):
-        raise ConfigurationError(
-            f"{type(policy).__name__} returned a negative budget: {budgets}"
-        )
-    if not 0.0 < budgets[-1] < 1.0:
-        raise ConfigurationError(
-            f"the leaf level needs a tracker budget in (0, 1), got "
-            f"{budgets[-1]} from {type(policy).__name__}"
-        )
-    if sum(budgets) > epsilon * (1.0 + 1e-9):
-        raise ConfigurationError(
-            f"{type(policy).__name__} budgets sum to {sum(budgets)}, "
-            f"exceeding the end-to-end budget {epsilon}"
-        )
-    return budgets
+    return [0.0] * (levels - 1) + [float(epsilon)]
 
 
 # --------------------------------------------------------------------------
 # Tree construction.
 # --------------------------------------------------------------------------
-
-def resolve_fanouts(
-    levels: Optional[int] = None,
-    fanout: Optional[int] = None,
-    fanouts: Optional[Sequence[int]] = None,
-) -> List[int]:
-    """Normalise the three ways of describing a tree shape to a fan-out list.
-
-    Returns the per-aggregation-level fan-outs, top-down (empty = flat).
-    ``fanouts`` wins when given (``levels``, if also given, must agree);
-    ``levels + fanout`` expands to a uniform list; ``levels = 1`` alone is
-    the flat topology.
-    """
-    if fanouts is not None:
-        resolved = [int(f) for f in fanouts]
-        if fanout is not None:
-            raise ConfigurationError(
-                "fanout and fanouts are mutually exclusive; give the uniform "
-                "fan-out or the explicit per-level list, not both"
-            )
-        if levels is not None and levels != len(resolved) + 1:
-            raise ConfigurationError(
-                f"levels={levels} disagrees with fanouts={resolved} "
-                f"(a {len(resolved)}-entry fan-out list describes "
-                f"{len(resolved) + 1} levels)"
-            )
-    elif levels is None:
-        raise ConfigurationError(
-            "describe the tree shape with levels (+ fanout) or fanouts"
-        )
-    elif levels == 1:
-        if fanout is not None:
-            raise ConfigurationError(
-                f"levels=1 is the flat topology and takes no fanout "
-                f"(got fanout={fanout})"
-            )
-        resolved = []
-    else:
-        if levels < 1:
-            raise ConfigurationError(f"levels must be >= 1, got {levels}")
-        if fanout is None:
-            raise ConfigurationError(
-                f"levels={levels} needs a fanout (or an explicit fanouts list)"
-            )
-        resolved = [int(fanout)] * (levels - 1)
-    for value in resolved:
-        if value < 2:
-            raise ConfigurationError(
-                f"every aggregation level needs fan-out >= 2, got {value} "
-                f"in {resolved}"
-            )
-    return resolved
-
 
 @dataclass
 class _TreeRecipe:
@@ -286,19 +182,17 @@ def _build_flat(factory, channel: Optional[Channel]) -> MonitoringNetwork:
 
 def build_tree_network(
     factory,
-    levels: Optional[int] = None,
-    fanout: Optional[int] = None,
-    fanouts: Optional[Sequence[int]] = None,
-    sharding: Optional[ShardingPolicy] = None,
-    epsilon_split="leaf",
+    fanouts: Sequence[int],
+    partition: str = "contiguous",
+    epsilon_split: str = "leaf",
     split_ratio: float = 0.5,
     broadcast_deadband: float = 0.0,
     channel_factory: Optional[Callable[[int, int, int], Optional[Channel]]] = None,
 ):
     """Build a monitoring network of any shape from a flat tracker factory.
 
-    The one network builder: ``fanouts=[]`` (or ``levels=1``) is the flat
-    star ``factory.build_network()``, ``fanouts=[S]`` the two-level sharded
+    The one network builder: ``fanouts=[]`` is the flat star
+    ``factory.build_network()``, ``fanouts=[S]`` the two-level sharded
     hierarchy, and deeper lists L-level trees.  The factory's ``k``
     sites are partitioned top-down: the root level splits them into
     ``fanouts[0]`` groups, each group is split again by the next fan-out,
@@ -311,22 +205,21 @@ def build_tree_network(
     parent at any depth.  Each node becomes one row of the returned
     network's table, in one depth-first pass.  Every node is built here,
     but no site: a leaf from a factory that builds sites on first touch
-    builds only the sites its traffic reaches, so under contiguous
-    partitions a tree over ``k`` sites costs O(nodes), not O(k), to build.
+    builds only the sites its traffic reaches, so a tree over ``k`` sites
+    costs O(nodes), not O(k), to build.
 
     Args:
         factory: Flat tracker factory exposing ``num_sites``, ``epsilon``
-            and, for more than one level, ``shard_factory``.
-        levels: Total number of coordinator levels (1 = flat, 2 = the legacy
-            sharded hierarchy).  Give ``fanout`` with it, or use ``fanouts``.
-        fanout: Uniform fan-out per aggregation level (with ``levels``).
-        fanouts: Explicit per-level fan-outs, top-down (``len == levels-1``).
-        sharding: Partition policy applied at every split; default
-            :class:`~repro.monitoring.sharding.ContiguousSharding`.
-        epsilon_split: :class:`EpsilonSplitPolicy` instance or name from
-            :data:`EPSILON_SPLIT_NAMES`; default ``"leaf"`` (all budget at
-            the leaves, aggregation exact — the legacy behaviour).
-        split_ratio: Ratio for the named ``"geometric"`` policy.
+            and, for a tree, ``shard_factory``.
+        fanouts: Per-aggregation-level fan-outs, top-down, each at least 2
+            (empty = flat).  Their product may not exceed ``k``.
+        partition: Rule from :data:`PARTITION_NAMES` splitting a node's
+            sites among its children (:func:`partition_sites`), applied at
+            every split.
+        epsilon_split: Rule from :data:`EPSILON_SPLIT_NAMES` dividing
+            ``eps`` across the levels (:func:`split_budgets`); default
+            ``"leaf"`` (all budget at the leaves, aggregation exact).
+        split_ratio: Ratio of the ``"geometric"`` split, in ``(0, 1)``.
         broadcast_deadband: Relative deadband on every aggregator's downward
             level re-broadcasts (0.0 = re-broadcast on every change).
         channel_factory: The transport: ``(level, position, num_ports) ->
@@ -345,14 +238,30 @@ def build_tree_network(
     Returns:
         The tree's one :class:`~repro.monitoring.sharding.ShardedNetwork`,
         with the build recipe attached for live migration, or the flat
-        ``MonitoringNetwork`` when the shape resolves to one level.
+        ``MonitoringNetwork`` for ``fanouts=[]``.
     """
     num_sites = getattr(factory, "num_sites", None)
     if num_sites is None:
         raise ConfigurationError(
             "build_tree_network needs a tracker factory exposing num_sites"
         )
-    resolved = resolve_fanouts(levels=levels, fanout=fanout, fanouts=fanouts)
+    resolved = [int(fan) for fan in fanouts]
+    if any(fan < 2 for fan in resolved):
+        raise ConfigurationError(
+            f"every aggregation level needs fan-out >= 2, got fanouts {resolved}"
+        )
+    for argument, name, allowed in (
+        ("partition", partition, PARTITION_NAMES),
+        ("epsilon_split", epsilon_split, EPSILON_SPLIT_NAMES),
+    ):
+        if name not in allowed:
+            raise ConfigurationError(
+                f"unknown {argument} {name!r}; pick one of {sorted(allowed)}"
+            )
+    if epsilon_split == "geometric" and not 0.0 < split_ratio < 1.0:
+        raise ConfigurationError(
+            f"geometric split ratio must be in (0, 1), got {split_ratio}"
+        )
     declared = getattr(channel_factory, "fanouts", None)
     if declared is not None and list(declared) != resolved:
         raise ConfigurationError(
@@ -369,17 +278,14 @@ def build_tree_network(
             f"{type(factory).__name__} does not expose shard_factory(num_sites, "
             "shard_id); add one to run it in a tree"
         )
-    policy = sharding if sharding is not None else ContiguousSharding()
-    min_sites = 1
-    for value in resolved:
-        min_sites *= value
-    if min_sites > num_sites:
+    if math.prod(resolved) > num_sites:
         raise ConfigurationError(
-            f"fanouts {resolved} describe {min_sites} leaves, but the factory "
-            f"serves only {num_sites} sites (every leaf needs >= 1 site)"
+            f"fanouts {resolved} describe {math.prod(resolved)} leaves, but the "
+            f"factory serves only {num_sites} sites (every leaf needs >= 1 site)"
         )
-    split = resolve_epsilon_split(epsilon_split, split_ratio)
-    budgets = _split_budgets(split, float(factory.epsilon), len(resolved) + 1)
+    budgets = split_budgets(
+        epsilon_split, float(factory.epsilon), len(resolved) + 1, split_ratio
+    )
     recipe = _TreeRecipe(
         factory=factory,
         fanouts=resolved,
@@ -404,12 +310,7 @@ def build_tree_network(
             network = recipe.build_leaf(len(site_ids), position)[0]
         else:
             fan = resolved[level]
-            groups = policy.partition(len(site_ids), fan)
-            if len(groups) != fan or any(not group for group in groups):
-                raise ConfigurationError(
-                    f"sharding policy returned {len(groups)} groups (some "
-                    f"possibly empty) for fan-out {fan}"
-                )
+            groups = partition_sites(len(site_ids), fan, partition)
             for child_index, group in enumerate(groups):
                 child = build_node(
                     level + 1, position * fan + child_index, child_index, group
@@ -447,8 +348,8 @@ def leaf_groups(network: ShardedNetwork) -> List[List[int]]:
     """Global site ids of every leaf shard, left to right.
 
     The position of an id within its leaf's list is the site's leaf-local
-    id, whatever partition policy (contiguous, strided, nested) produced the
-    placement — the composite global-to-leaf map is read off the rows'
+    id, whatever produced the placement (either partition rule, nested, or
+    a migration's relabelling) — the composite global-to-leaf map is read off the rows'
     site ids, parents before children.
     """
     owned: Dict[int, List[int]] = {id(network.nodes[0]): list(range(network.num_sites))}

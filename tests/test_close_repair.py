@@ -58,7 +58,7 @@ class TestEnableCloseRepair:
 
     def test_flags_tree_recursively(self):
         network = build_tree_network(
-            DeterministicCounter(8, EPSILON), levels=3, fanout=2
+            DeterministicCounter(8, EPSILON), fanouts=[2, 2]
         )
         assert enable_close_repair(network) > 0
 
@@ -142,8 +142,7 @@ class TestRepairOnHierarchies:
         else:
             network = build_tree_network(
                 DeterministicCounter(8, EPSILON),
-                levels=3,
-                fanout=2,
+                fanouts=[2, 2],
                 channel_factory=async_channels(
                     [2, 2],
                     UniformLatency(0.1, 1.0),

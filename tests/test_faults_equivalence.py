@@ -48,8 +48,7 @@ TOPOLOGIES = {
     ),
     "levels3": lambda factory, faults: build_tree_network(
         factory,
-        levels=3,
-        fanout=2,
+        fanouts=[2, 2],
         channel_factory=async_channels(
             [2, 2], UniformLatency(0.5, 2.0), seed=3, faults=faults
         ),

@@ -158,7 +158,7 @@ class TestSparseAndCrossLevelCells:
 
         def run(batched):
             factory = FACTORIES[factory_name](num_sites, SPARSE_EPSILON, seed)
-            network = build_tree_network(factory, levels=3, fanout=2)
+            network = build_tree_network(factory, fanouts=[2, 2])
             result = run_tracking(
                 network, updates, record_every=record_every, batched=batched
             )
@@ -214,8 +214,7 @@ class TestSparseAndCrossLevelCells:
             factory = FACTORIES[factory_name](num_sites, SPARSE_EPSILON, seed)
             network = build_tree_network(
                 factory,
-                levels=3,
-                fanout=2,
+                fanouts=[2, 2],
                 channel_factory=async_channels([2, 2], ConstantLatency(0.0), seed=0),
             )
             result = run_tracking(
@@ -247,7 +246,7 @@ class TestSparseAndCrossLevelCells:
 
         def network():
             factory = FACTORIES[factory_name](num_sites, SPARSE_EPSILON, seed)
-            return build_tree_network(factory, levels=3, fanout=2)
+            return build_tree_network(factory, fanouts=[2, 2])
 
         batched = run_tracking(
             network(), updates, record_every=record_every, batched=True
@@ -299,8 +298,7 @@ class TestDescentScheduleCells:
                 if transport == "async":
                     network = build_tree_network(
                         factory,
-                        levels=3,
-                        fanout=2,
+                        fanouts=[2, 2],
                         channel_factory=async_channels(
                             [2, 2], ConstantLatency(0.0), seed=0
                         ),
@@ -309,7 +307,7 @@ class TestDescentScheduleCells:
                         network, updates, record_every=record_every, batched=batched
                     )
                 else:
-                    network = build_tree_network(factory, levels=3, fanout=2)
+                    network = build_tree_network(factory, fanouts=[2, 2])
                     result = run_tracking(
                         network, updates, record_every=record_every, batched=batched
                     )

@@ -25,7 +25,6 @@ from repro.core import DeterministicCounter, RandomizedCounter
 from repro.exceptions import ProtocolError
 from repro.monitoring import (
     MonitoringNetwork,
-    StridedSharding,
     build_tree_network,
     migrate_site,
     run_tracking,
@@ -100,8 +99,7 @@ class TestMillionSiteTree:
     def test_a_few_segments_build_exactly_the_touched_sites(self):
         network = build_tree_network(
             DeterministicCounter(1_000_000, EPSILON),
-            levels=4,
-            fanout=10,
+            fanouts=[10, 10, 10],
             epsilon_split="geometric",
         )
         rng = np.random.default_rng(11)
@@ -131,23 +129,22 @@ class TestMillionSiteTree:
         # Every node is built, but no site and no per-site table: a dense
         # table per leaf, or a list of site ids per node, would cost
         # megabytes here.
-        _assert_million_site_build_is_lean(sharding=None)
+        _assert_million_site_build_is_lean(partition="contiguous")
 
     def test_strided_build_allocates_nothing_per_site(self):
         # Strided groups stay ``range``s routed with a divmod: a list of
         # site ids or a routing dictionary per node would cost megabytes.
-        _assert_million_site_build_is_lean(sharding=StridedSharding())
+        _assert_million_site_build_is_lean(partition="strided")
 
 
-def _assert_million_site_build_is_lean(sharding):
+def _assert_million_site_build_is_lean(partition):
     """A k=10^6, 4-level tree builds under 8 MiB traced and builds no site."""
     tracemalloc.start()
     try:
         network = build_tree_network(
             DeterministicCounter(1_000_000, EPSILON),
-            levels=4,
-            fanout=10,
-            sharding=sharding,
+            fanouts=[10, 10, 10],
+            partition=partition,
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -231,7 +228,7 @@ class TestLazyMatchesExplicit:
         ]
         results = []
         for factory in (lazy_factory, eager_factory):
-            network = build_tree_network(factory, levels=2, fanout=3)
+            network = build_tree_network(factory, fanouts=[3])
             run_tracking(network, head, record_every=10, batched=True)
             report = migrate_site(network, site_id, dest_leaf=2, time=30)
             result = run_tracking(network, tail, record_every=10, batched=True)
@@ -253,8 +250,7 @@ class TestAsyncTreeLeaves:
     def _tree(factory, latency):
         return build_tree_network(
             factory,
-            levels=3,
-            fanout=2,
+            fanouts=[2, 2],
             channel_factory=async_channels([2, 2], latency, seed=3),
         )
 

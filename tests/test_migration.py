@@ -71,7 +71,7 @@ class TestExactHandoff:
             if randomized
             else DeterministicCounter(k, 0.1)
         )
-        net = build_tree_network(factory, levels=2, fanout=2)
+        net = build_tree_network(factory, fanouts=[2])
         updates = _updates(5000, k)
         prefix, suffix = updates[:2500], updates[2500:]
         for update in prefix:
@@ -135,7 +135,7 @@ class TestExactHandoff:
 
     def test_naive_counter_migrates_exactly(self):
         k = 4
-        net = build_tree_network(NaiveCounter(k), levels=2, fanout=2)
+        net = build_tree_network(NaiveCounter(k), fanouts=[2])
         updates = _updates(2000, k)
         prefix, suffix = updates[:1000], updates[1000:]
         for update in prefix:
@@ -201,8 +201,7 @@ class TestAsyncMigration:
         k = 8
         net = build_tree_network(
             DeterministicCounter(k, 0.1),
-            levels=3,
-            fanout=2,
+            fanouts=[2, 2],
             channel_factory=async_channels([2, 2], UniformLatency(0.0, 4.0), seed=13),
         )
         updates = _updates(4000, k)
@@ -223,8 +222,7 @@ class TestAsyncMigration:
         k = 4
         net = build_tree_network(
             DeterministicCounter(k, 0.1),
-            levels=2,
-            fanout=2,
+            fanouts=[2],
             channel_factory=async_channels([2], UniformLatency(0.0, 2.0), seed=7),
         )
         for update in _updates(1500, k):
@@ -242,7 +240,7 @@ class TestAsyncMigration:
 
 class TestRefusals:
     def _net(self, k=6):
-        net = build_tree_network(DeterministicCounter(k, 0.1), levels=2, fanout=2)
+        net = build_tree_network(DeterministicCounter(k, 0.1), fanouts=[2])
         for update in _updates(500, k):
             net.deliver_update(update.time, update.site, update.delta)
         return net
@@ -266,7 +264,7 @@ class TestRefusals:
             migrate_site(self._net(), 0, dest_leaf=5)
 
     def test_refuses_emptying_a_leaf(self):
-        net = build_tree_network(DeterministicCounter(2, 0.1), levels=2, fanout=2)
+        net = build_tree_network(DeterministicCounter(2, 0.1), fanouts=[2])
         with pytest.raises(ConfigurationError, match="last site"):
             migrate_site(net, 0, dest_leaf=1)
 
@@ -281,7 +279,7 @@ class TestRefusals:
             migrate_site(net.shards[0].network, 0, dest_leaf=1)
 
     def test_refuses_tracker_without_bootstrap(self):
-        net = build_tree_network(CormodeCounter(4, 0.1), levels=2, fanout=2)
+        net = build_tree_network(CormodeCounter(4, 0.1), fanouts=[2])
         for update in _updates(200, 4):
             net.deliver_update(update.time, update.site, update.delta)
         with pytest.raises(ConfigurationError, match="bootstrap_network"):

@@ -27,13 +27,13 @@ from repro.core import DeterministicCounter, RandomizedCounter
 from repro.core.blocks import block_level
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.monitoring import (
+    PARTITION_NAMES,
     ChannelStats,
-    ContiguousSharding,
     MessageKind,
     RootAggregator,
     ShardedNetwork,
-    StridedSharding,
     build_tree_network,
+    partition_sites,
     run_tracking,
 )
 from repro.streams import (
@@ -67,33 +67,26 @@ def _transcript(channel):
     ]
 
 
-class TestShardingPolicies:
+class TestPartitionSites:
     def test_contiguous_balanced_within_one(self):
-        groups = ContiguousSharding().partition(10, 3)
-        assert [list(group) for group in groups] == [
-            [0, 1, 2, 3],
-            [4, 5, 6],
-            [7, 8, 9],
+        assert partition_sites(10, 3, "contiguous") == [
+            range(0, 4),
+            range(4, 7),
+            range(7, 10),
         ]
 
     def test_strided_interleaves(self):
-        groups = StridedSharding().partition(7, 3)
+        groups = partition_sites(7, 3, "strided")
         assert [list(group) for group in groups] == [[0, 3, 6], [1, 4], [2, 5]]
 
-    @pytest.mark.parametrize("policy", [ContiguousSharding(), StridedSharding()])
-    def test_partition_is_a_partition(self, policy):
-        for num_sites, num_shards in [(1, 1), (5, 5), (9, 4), (16, 3)]:
-            groups = policy.partition(num_sites, num_shards)
-            assert len(groups) == num_shards
+    @pytest.mark.parametrize("partition", PARTITION_NAMES)
+    def test_partition_is_a_partition(self, partition):
+        for num_sites, fan in [(1, 1), (5, 5), (9, 4), (16, 3)]:
+            groups = partition_sites(num_sites, fan, partition)
+            assert len(groups) == fan
             flat = [site for group in groups for site in group]
             assert sorted(flat) == list(range(num_sites))
             assert all(group for group in groups)
-
-    def test_rejects_more_shards_than_sites(self):
-        with pytest.raises(ConfigurationError):
-            ContiguousSharding().partition(3, 4)
-        with pytest.raises(ConfigurationError):
-            StridedSharding().partition(3, 0)
 
 
 def _single_shard(tracker, transport=None):
@@ -196,14 +189,14 @@ class TestHierarchicalMerge:
     """Shards behave like flat coordinators over their substreams; root sums."""
 
     @pytest.mark.parametrize("num_shards", [2, 3, 4])
-    @pytest.mark.parametrize(
-        "sharding", [ContiguousSharding(), StridedSharding()], ids=["contig", "strided"]
-    )
-    def test_per_shard_flat_equivalence(self, num_shards, sharding):
+    @pytest.mark.parametrize("partition", PARTITION_NAMES)
+    def test_per_shard_flat_equivalence(self, num_shards, partition):
         spec = random_walk_stream(3_000, seed=7)
         updates = assign_sites(spec, 8, RoundRobinAssignment())
         factory = DeterministicCounter(8, 0.1)
-        network = build_tree_network(factory, fanouts=[num_shards], sharding=sharding)
+        network = build_tree_network(
+            factory, fanouts=[num_shards], partition=partition
+        )
         run_tracking(network, updates, record_every=25, batched=False)
         for shard in network.shards:
             reference = factory.shard_factory(
@@ -384,9 +377,18 @@ class TestTopologyValidation:
         with pytest.raises(ProtocolError):
             network.deliver_batch(9, [1], [1])
 
-    def test_more_shards_than_sites_rejected(self):
-        with pytest.raises(ConfigurationError):
-            build_tree_network(DeterministicCounter(2, 0.1), fanouts=[3])
+    @pytest.mark.parametrize("partition", PARTITION_NAMES)
+    def test_more_shards_than_sites_rejected(self, partition):
+        with pytest.raises(ConfigurationError, match="leaves"):
+            build_tree_network(
+                DeterministicCounter(2, 0.1), fanouts=[3], partition=partition
+            )
+
+    def test_unknown_partition_rejected(self):
+        with pytest.raises(ConfigurationError, match="partition"):
+            build_tree_network(
+                DeterministicCounter(4, 0.1), fanouts=[2], partition="nope"
+            )
 
     def test_factory_without_shard_hook_rejected(self):
         class Bare:

@@ -1,7 +1,7 @@
 """Property-based test (hypothesis) for the hierarchical-merge contract.
 
 For any unit-delta stream, site count, assignment policy, shard count,
-partition policy and delivery engine: every shard of the sharded hierarchy
+partition rule and delivery engine: every shard of the sharded hierarchy
 must end bit-for-bit identical — estimate, message count, bit count,
 per-kind breakdown — to a flat coordinator replaying that shard's substream,
 and the root's merged estimate must equal the flat coordinator's estimate in
@@ -15,12 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DeterministicCounter, RandomizedCounter
-from repro.monitoring import (
-    ContiguousSharding,
-    StridedSharding,
-    build_tree_network,
-    run_tracking,
-)
+from repro.monitoring import PARTITION_NAMES, build_tree_network, run_tracking
 from repro.streams.model import deltas_to_updates
 
 unit_deltas = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=300)
@@ -41,13 +36,13 @@ def _assign(deltas, num_sites, policy_name):
     num_sites=st.integers(min_value=1, max_value=8),
     num_shards=st.integers(min_value=1, max_value=8),
     policy_name=st.sampled_from(["round_robin", "blocked", "hot"]),
-    strided=st.booleans(),
+    partition=st.sampled_from(PARTITION_NAMES),
     batched=st.booleans(),
     randomized=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
 def test_hierarchical_merge_equals_flat_coordinators(
-    deltas, num_sites, num_shards, policy_name, strided, batched, randomized
+    deltas, num_sites, num_shards, policy_name, partition, batched, randomized
 ):
     num_shards = min(num_shards, num_sites)
     updates = _assign(deltas, num_sites, policy_name)
@@ -56,7 +51,6 @@ def test_hierarchical_merge_equals_flat_coordinators(
         if randomized
         else DeterministicCounter(num_sites, 0.1)
     )
-    sharding = StridedSharding() if strided else ContiguousSharding()
     if num_shards == 1:
         # Degenerate hierarchy: one shard is no tree, ``shards=1`` wires the
         # flat star, and its view *is* the flat coordinator.
@@ -70,7 +64,7 @@ def test_hierarchical_merge_equals_flat_coordinators(
         assert network.stats.bits == flat.stats.bits
         assert network.stats.by_kind == flat.stats.by_kind
         return
-    network = build_tree_network(factory, fanouts=[num_shards], sharding=sharding)
+    network = build_tree_network(factory, fanouts=[num_shards], partition=partition)
     result = run_tracking(network, updates, record_every=13, batched=batched)
 
     for shard in network.shards:

@@ -2,17 +2,18 @@
 
 Central claims pinned here:
 
-* the shape vocabulary (levels/fanout/fanouts) normalises consistently and
-  rejects contradictions before any network is built;
-* the error-budget split policies return valid per-level budgets (non-
-  negative, leaf budget positive, summing to at most ``eps``), and the
-  default leaf split keeps aggregation exact;
+* the spec's shape shorthands (shards/levels/fanout/fanouts) resolve to one
+  fan-out list, and contradictions fail with a field-naming ``SpecError``
+  before any network is built;
+* the error-budget split rules return valid per-level budgets (non-
+  negative, leaf budget positive, summing to ``eps``), and the default
+  leaf split keeps aggregation exact;
 * a tree of any depth keeps every internal node's estimate equal to the
   exact sum of its children (the hypothesis version lives in
   ``tests/test_tree_property.py``), and its per-level accounting decomposes
   the total;
-* ``levels=2`` through the tree vocabulary is the legacy sharded hierarchy
-  (the bit-for-bit property test lives in ``tests/test_tree_property.py``);
+* ``shards=S``, ``levels=2, fanout=S`` and ``fanouts=[S]`` resolve to the
+  same fan-out list, so they build the same tree;
 * push and broadcast deadbands suppress traffic and count what they saved;
 * an asynchronous clock step checks only the rows whose channels delivered
   since their last check (the golden cases pin that the outputs stay).
@@ -26,20 +27,16 @@ from repro.asynchrony import (
     async_channels,
 )
 from repro.core import DeterministicCounter, RandomizedCounter
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SpecError
 from repro.monitoring import (
+    EPSILON_SPLIT_NAMES,
     ChannelStats,
-    GeometricSplit,
-    LeafSplit,
     ShardCoordinator,
     ShardedNetwork,
-    StridedSharding,
-    UniformSplit,
     build_tree_network,
     leaf_groups,
-    resolve_epsilon_split,
-    resolve_fanouts,
     run_tracking,
+    split_budgets,
 )
 from repro.streams import (
     RoundRobinAssignment,
@@ -68,72 +65,105 @@ def push_checks(monkeypatch):
 
 
 class TestResolveFanouts:
+    """The spec layer resolves every shape shorthand to one fan-out list."""
+
+    @staticmethod
+    def resolve(**shape):
+        return TopologySpec(**shape).resolve_fanouts()
+
     def test_levels_and_fanout_expand_uniformly(self):
-        assert resolve_fanouts(levels=4, fanout=3) == [3, 3, 3]
+        assert self.resolve(levels=4, fanout=3) == [3, 3, 3]
 
     def test_levels_one_is_flat(self):
-        assert resolve_fanouts(levels=1) == []
+        assert self.resolve(levels=1) == []
 
     def test_explicit_fanouts_win(self):
-        assert resolve_fanouts(fanouts=[4, 2]) == [4, 2]
+        assert self.resolve(fanouts=[4, 2]) == [4, 2]
 
-    def test_levels_must_agree_with_fanouts(self):
-        assert resolve_fanouts(levels=3, fanouts=[4, 2]) == [4, 2]
-        with pytest.raises(ConfigurationError):
-            resolve_fanouts(levels=2, fanouts=[4, 2])
+    def test_levels_may_restate_fanouts(self):
+        # A disagreeing ``levels`` is one of the bad shapes below.
+        assert self.resolve(levels=3, fanouts=[4, 2]) == [4, 2]
 
-    def test_fanout_and_fanouts_conflict(self):
-        with pytest.raises(ConfigurationError):
-            resolve_fanouts(fanout=2, fanouts=[2, 2])
+    def test_no_shape_at_all_is_flat(self):
+        assert self.resolve() == []
 
-    def test_levels_need_a_fanout(self):
-        with pytest.raises(ConfigurationError):
-            resolve_fanouts(levels=3)
+    @pytest.mark.parametrize("shards", [2, 3, 4, 5])
+    def test_every_spelling_of_one_level_of_shards_is_one_tree(self, shards):
+        # ``shards=S``, ``levels=2, fanout=S`` and ``fanouts=[S]`` hand the
+        # builder the same list, so they build the same tree.
+        assert (
+            self.resolve(shards=shards)
+            == self.resolve(levels=2, fanout=shards)
+            == self.resolve(fanouts=[shards])
+            == [shards]
+        )
 
-    def test_flat_takes_no_fanout(self):
-        with pytest.raises(ConfigurationError):
-            resolve_fanouts(levels=1, fanout=2)
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {"levels": 3},
+            {"fanout": 2},
+            {"levels": 1, "fanout": 2},
+            {"levels": 0, "fanout": 2},
+            {"levels": 2, "fanout": 1},
+            {"fanout": 2, "fanouts": [2]},
+            {"levels": 3, "fanouts": [2]},
+            {"fanouts": [3, 1]},
+        ],
+        ids=lambda shape: ",".join(f"{key}={value}" for key, value in shape.items()),
+    )
+    def test_bad_shapes_name_the_field(self, shape):
+        with pytest.raises(SpecError, match=r"topology\."):
+            self.resolve(**shape)
+        with pytest.raises(SpecError, match=r"topology\."):
+            TopologySpec(**shape).validate()
 
-    def test_no_shape_at_all(self):
-        with pytest.raises(ConfigurationError):
-            resolve_fanouts()
 
-    def test_fanout_below_two_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_fanouts(levels=2, fanout=1)
-
-
-class TestEpsilonSplits:
+class TestSplitBudgets:
     def test_leaf_split_concentrates_at_leaves(self):
-        assert LeafSplit().split(0.1, 3) == [0.0, 0.0, 0.1]
+        assert split_budgets("leaf", 0.1, 3) == [0.0, 0.0, 0.1]
 
     def test_uniform_split_is_equal(self):
-        budgets = UniformSplit().split(0.3, 3)
-        assert budgets == pytest.approx([0.1, 0.1, 0.1])
+        assert split_budgets("uniform", 0.3, 3) == [0.3 / 3] * 3
 
     def test_geometric_split_sums_to_eps_leaf_largest(self):
-        budgets = GeometricSplit(0.5).split(0.07, 3)
+        budgets = split_budgets("geometric", 0.07, 3)
         assert sum(budgets) == pytest.approx(0.07)
         assert budgets == pytest.approx([0.01, 0.02, 0.04])
 
-    def test_geometric_ratio_bounds(self):
-        with pytest.raises(ConfigurationError):
-            GeometricSplit(0.0)
-        with pytest.raises(ConfigurationError):
-            GeometricSplit(1.0)
+    def test_geometric_ratio_shapes_the_split(self):
+        budgets = split_budgets("geometric", 0.1, 3, ratio=0.3)
+        assert budgets == pytest.approx([0.1 * w / 1.39 for w in (0.09, 0.3, 1.0)])
 
-    def test_resolve_by_name(self):
-        assert isinstance(resolve_epsilon_split("leaf"), LeafSplit)
-        assert isinstance(resolve_epsilon_split("uniform"), UniformSplit)
-        assert isinstance(resolve_epsilon_split("geometric", 0.3), GeometricSplit)
-        with pytest.raises(ConfigurationError):
-            resolve_epsilon_split("nope")
+    @pytest.mark.parametrize("name", EPSILON_SPLIT_NAMES)
+    def test_budgets_are_valid_for_every_rule(self, name):
+        for levels in (1, 2, 5):
+            budgets = split_budgets(name, 0.2, levels)
+            assert len(budgets) == levels
+            assert all(budget >= 0.0 for budget in budgets)
+            assert 0.0 < budgets[-1] <= 0.2
+            assert sum(budgets) == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.0])
+    def test_builder_checks_the_geometric_ratio(self, ratio):
+        factory = DeterministicCounter(4, 0.1)
+        with pytest.raises(ConfigurationError, match="ratio"):
+            build_tree_network(
+                factory, fanouts=[2], epsilon_split="geometric", split_ratio=ratio
+            )
+        # Only the geometric rule reads the ratio.
+        build_tree_network(factory, fanouts=[2], split_ratio=ratio)
+
+    def test_builder_rejects_unknown_split(self):
+        with pytest.raises(ConfigurationError, match="epsilon_split"):
+            build_tree_network(
+                DeterministicCounter(4, 0.1), fanouts=[2], epsilon_split="nope"
+            )
 
     def test_budgets_land_on_the_tree(self):
         net = build_tree_network(
             DeterministicCounter(8, 0.2),
-            levels=3,
-            fanout=2,
+            fanouts=[2, 2],
             epsilon_split="geometric",
         )
         # Wrappers at node level l carry the level-l budget as push deadband.
@@ -145,7 +175,7 @@ class TestEpsilonSplits:
             assert leaf.network.coordinator.epsilon == pytest.approx(0.8 / 7)
 
     def test_default_leaf_split_keeps_leaf_epsilon(self):
-        net = build_tree_network(DeterministicCounter(8, 0.2), levels=3, fanout=2)
+        net = build_tree_network(DeterministicCounter(8, 0.2), fanouts=[2, 2])
         for leaf in net.leaves():
             assert leaf.network.coordinator.epsilon == 0.2
             assert leaf.push_deadband == 0.0
@@ -153,7 +183,7 @@ class TestEpsilonSplits:
 
 class TestTreeShape:
     def test_depth_and_leaf_count(self):
-        net = build_tree_network(DeterministicCounter(27, 0.1), levels=4, fanout=3)
+        net = build_tree_network(DeterministicCounter(27, 0.1), fanouts=[3, 3, 3])
         assert net.num_levels == 4
         assert len(net.leaves()) == 3 * 3 * 3  # one site per leaf
         assert net.num_sites == 27
@@ -166,23 +196,25 @@ class TestTreeShape:
         assert sorted(s for group in groups for s in group) == list(range(10))
         assert all(group for group in groups)
 
-    def test_strided_sharding_composes(self):
+    def test_strided_partition_composes(self):
         net = build_tree_network(
-            DeterministicCounter(8, 0.1),
-            levels=3,
-            fanout=2,
-            sharding=StridedSharding(),
+            DeterministicCounter(8, 0.1), fanouts=[2, 2], partition="strided"
         )
         # Top split strides global ids; the nested splits stride positions
         # within each group.
         assert leaf_groups(net) == [[0, 4], [2, 6], [1, 5], [3, 7]]
 
+    @pytest.mark.parametrize("fanouts", [[2, 1], [0]])
+    def test_fanout_below_two_rejected(self, fanouts):
+        with pytest.raises(ConfigurationError, match="fan-out >= 2"):
+            build_tree_network(DeterministicCounter(8, 0.1), fanouts=fanouts)
+
     def test_more_leaves_than_sites_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_tree_network(DeterministicCounter(7, 0.1), levels=4, fanout=2)
+            build_tree_network(DeterministicCounter(7, 0.1), fanouts=[2, 2, 2])
 
     def test_flat_shape_builds_flat_network(self):
-        net = build_tree_network(DeterministicCounter(5, 0.1), levels=1)
+        net = build_tree_network(DeterministicCounter(5, 0.1), fanouts=[])
         assert not isinstance(net, ShardedNetwork)
         assert net.num_sites == 5
 
@@ -193,7 +225,7 @@ class TestTreeShape:
             shard_factory = None
 
         with pytest.raises(ConfigurationError):
-            build_tree_network(NoShards(), levels=2, fanout=2)
+            build_tree_network(NoShards(), fanouts=[2])
 
     @pytest.mark.parametrize(
         "tree, transport",
@@ -237,7 +269,7 @@ class TestTreeTracking:
         assert net.estimate() == pytest.approx(total)
 
     def test_level_stats_decompose_total(self):
-        net = build_tree_network(DeterministicCounter(12, 0.1), levels=3, fanout=2)
+        net = build_tree_network(DeterministicCounter(12, 0.1), fanouts=[2, 2])
         result = run_tracking(net, _updates(4000, 12), record_every=500)
         merged = ChannelStats.merge(net.level_stats())
         assert merged.messages == result.total_messages
@@ -245,7 +277,7 @@ class TestTreeTracking:
         assert merged.by_kind == result.messages_by_kind
 
     def test_level_summary_shape_and_roles(self):
-        net = build_tree_network(DeterministicCounter(12, 0.1), levels=3, fanout=2)
+        net = build_tree_network(DeterministicCounter(12, 0.1), fanouts=[2, 2])
         result = run_tracking(net, _updates(3000, 12), record_every=500)
         rows = result.levels
         assert [row["level"] for row in rows] == [0, 1, 2]
@@ -262,11 +294,10 @@ class TestTreeTracking:
 
 class TestDeadbands:
     def test_push_deadband_suppresses_and_counts(self):
-        exact = build_tree_network(DeterministicCounter(8, 0.1), levels=2, fanout=2)
+        exact = build_tree_network(DeterministicCounter(8, 0.1), fanouts=[2])
         damped = build_tree_network(
             DeterministicCounter(8, 0.1),
-            levels=2,
-            fanout=2,
+            fanouts=[2],
             epsilon_split="uniform",
         )
         updates = _updates(4000, 8)
@@ -284,8 +315,7 @@ class TestDeadbands:
     def test_uniform_split_error_stays_within_total_budget(self):
         net = build_tree_network(
             DeterministicCounter(8, 0.1),
-            levels=3,
-            fanout=2,
+            fanouts=[2, 2],
             epsilon_split="uniform",
         )
         updates = assign_sites(
@@ -303,12 +333,11 @@ class TestDeadbands:
 
     def test_broadcast_deadband_suppresses_level_resends(self):
         exact = build_tree_network(
-            DeterministicCounter(8, 0.1), levels=2, fanout=2
+            DeterministicCounter(8, 0.1), fanouts=[2]
         )
         damped = build_tree_network(
             DeterministicCounter(8, 0.1),
-            levels=2,
-            fanout=2,
+            fanouts=[2],
             broadcast_deadband=0.5,
         )
         updates = _updates(6000, 8)
@@ -328,43 +357,16 @@ class TestDeadbands:
         with pytest.raises(ConfigurationError):
             build_tree_network(
                 DeterministicCounter(4, 0.1),
-                levels=2,
-                fanout=2,
+                fanouts=[2],
                 broadcast_deadband=-0.1,
             )
 
 
 class TestAsyncTree:
-    def test_two_level_tree_matches_legacy_async_builder(self):
-        updates = _updates(3000, 12)
-        latency = UniformLatency(0.0, 4.0)
-        legacy = build_tree_network(
-            DeterministicCounter(12, 0.05),
-            fanouts=[4],
-            channel_factory=async_channels([4], latency, seed=11),
-        )
-        tree = build_tree_network(
-            DeterministicCounter(12, 0.05),
-            levels=2,
-            fanout=4,
-            channel_factory=async_channels([4], latency, seed=11),
-        )
-        a = run_tracking(legacy, list(updates), record_every=100)
-        b = run_tracking(tree, list(updates), record_every=100)
-        assert [
-            (r.time, r.estimate, r.messages, r.bits) for r in a.records
-        ] == [(r.time, r.estimate, r.messages, r.bits) for r in b.records]
-        assert (a.total_messages, a.total_bits, a.final_clock) == (
-            b.total_messages,
-            b.total_bits,
-            b.final_clock,
-        )
-
     def test_deep_tree_settles_on_exact_sum_after_drain(self):
         net = build_tree_network(
             RandomizedCounter(12, 0.1, seed=3),
-            levels=3,
-            fanout=2,
+            fanouts=[2, 2],
             channel_factory=async_channels([2, 2], UniformLatency(0.0, 3.0), seed=5),
         )
         result = run_tracking(net, _updates(3000, 12), record_every=300)
@@ -375,8 +377,7 @@ class TestAsyncTree:
     def test_multi_hop_latency_ages_accumulate_per_level(self):
         net = build_tree_network(
             DeterministicCounter(8, 0.1),
-            levels=3,
-            fanout=2,
+            fanouts=[2, 2],
             channel_factory=async_channels([2, 2], UniformLatency(1.0, 3.0), seed=2),
         )
         run_tracking(net, _updates(2000, 8), record_every=200)
@@ -387,8 +388,7 @@ class TestAsyncTree:
     def test_clock_step_on_a_quiescent_tree_checks_no_estimate(self, push_checks):
         net = build_tree_network(
             DeterministicCounter(8, 0.1),
-            levels=3,
-            fanout=2,
+            fanouts=[2, 2],
             channel_factory=async_channels([2, 2], UniformLatency(1.0, 3.0), seed=2),
         )
         run_tracking(net, _updates(500, 8), record_every=50)

@@ -32,12 +32,7 @@ import pytest
 from repro.asynchrony import UniformLatency, async_channels
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.faults import FaultPlan, enable_close_repair
-from repro.monitoring import (
-    StridedSharding,
-    build_tree_network,
-    migrate_site,
-    run_tracking,
-)
+from repro.monitoring import build_tree_network, migrate_site, run_tracking
 from repro.observability import TraceLog, instrument_network
 from repro.streams import BlockedAssignment, assign_sites, random_walk_stream
 from repro.streams.io import TraceColumns
@@ -147,12 +142,23 @@ SYNC_SHAPES = {
     ),
     "levels3_strided": lambda: build_tree_network(
         RandomizedCounter(SITES, EPSILON, seed=4),
-        levels=3,
-        fanout=2,
-        sharding=StridedSharding(),
+        fanouts=[2, 2],
+        partition="strided",
     ),
     "fanouts32_geometric": lambda: build_tree_network(
         DeterministicCounter(SITES, EPSILON), fanouts=[3, 2], **GEOMETRIC
+    ),
+    "fanouts32_uniform_strided": lambda: build_tree_network(
+        DeterministicCounter(SITES, EPSILON),
+        fanouts=[3, 2],
+        partition="strided",
+        epsilon_split="uniform",
+    ),
+    "levels3_geometric03": lambda: build_tree_network(
+        RandomizedCounter(SITES, EPSILON, seed=4),
+        fanouts=[2, 2],
+        epsilon_split="geometric",
+        split_ratio=0.3,
     ),
 }
 
@@ -241,13 +247,13 @@ def _case_traced():
     return data
 
 
-def _case_migration(asynchronous):
+def _case_migration(asynchronous, partition="contiguous"):
     def run():
         factory = DeterministicCounter(SITES, EPSILON)
         network = (
             _async_network(factory)
             if asynchronous
-            else build_tree_network(factory, levels=3, fanout=2)
+            else build_tree_network(factory, fanouts=[2, 2], partition=partition)
         )
         updates = _updates()
         head, tail = updates[:1_500], updates[1_500:]
@@ -297,6 +303,7 @@ CASES = {
         for shape in FANOUTS
     },
     "migration-sync": _case_migration(False),
+    "migration-sync-strided": _case_migration(False, partition="strided"),
     "migration-async": _case_migration(True),
 }
 
