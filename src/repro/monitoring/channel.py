@@ -14,7 +14,31 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.exceptions import ProtocolError
 from repro.monitoring.messages import BROADCAST_SITE, Message, MessageKind
 
-__all__ = ["ChannelStats", "Channel"]
+__all__ = ["ChannelStats", "Channel", "RunningTotals"]
+
+
+class RunningTotals:
+    """Messages and bits charged to a group of counters, kept as they charge.
+
+    A tree's channel view
+    (:class:`repro.monitoring.sharding.ShardedChannelView`) joins every
+    node's :class:`ChannelStats` to one of these, so reading the tree's
+    totals at a record costs O(1), not a walk over every channel.
+    """
+
+    __slots__ = ("messages", "bits")
+
+    def __init__(self) -> None:
+        self.messages = 0
+        self.bits = 0
+
+    def join(self, counters: Iterable["ChannelStats"]) -> None:
+        """Feed from exactly ``counters``, restarting at their current sums."""
+        self.messages = self.bits = 0
+        for stats in counters:
+            stats._group = self
+            self.messages += stats.messages
+            self.bits += stats.bits
 
 
 @dataclass
@@ -41,23 +65,35 @@ class ChannelStats:
     retransmitted_by_kind: dict[str, int] = field(default_factory=dict)
     duplicates_by_kind: dict[str, int] = field(default_factory=dict)
 
+    # Running totals of the group of counters this one belongs to (a tree's
+    # channels, see :class:`RunningTotals`), bumped by every charge; ``None``
+    # outside a tree.  Unannotated, so not a field: copies feed no group.
+    _group = None
+
     def _charge(self, kind_value: str, copies: int, total_bits: int) -> None:
         """Single accounting primitive every charge path funnels through.
 
         Both :meth:`record` (real messages, synchronous or asynchronous) and
         :meth:`record_bulk` (closed-form simulated messages) delegate here, so
         the counters cannot drift between delivery engines or channel types.
+        Per-kind counters are keyed by the kind's string value, which callers
+        read as ``kind._value_``: the member's stored value, without the
+        Python-level call of the ``value`` property.
         """
         self.messages += copies
         self.bits += total_bits
-        self.by_kind[kind_value] = self.by_kind.get(kind_value, 0) + copies
-        self.bits_by_kind[kind_value] = (
-            self.bits_by_kind.get(kind_value, 0) + total_bits
-        )
+        by_kind = self.by_kind
+        by_kind[kind_value] = by_kind.get(kind_value, 0) + copies
+        bits_by_kind = self.bits_by_kind
+        bits_by_kind[kind_value] = bits_by_kind.get(kind_value, 0) + total_bits
+        group = self._group
+        if group is not None:
+            group.messages += copies
+            group.bits += total_bits
 
     def record(self, message: Message, copies: int = 1) -> None:
-        """Charge ``copies`` transmissions of ``message``."""
-        self._charge(message.kind.value, copies, copies * message.bits())
+        """Charge ``copies`` transmissions of ``message`` at its built cost."""
+        self._charge(message.kind._value_, copies, copies * message.bits())
 
     def record_bulk(self, kind_value: str, copies: int, total_bits: int) -> None:
         """Charge ``copies`` messages of one kind totalling ``total_bits``.
@@ -73,7 +109,7 @@ class ChannelStats:
         A dropped attempt has already been charged (at send time, like every
         other attempt); this records only that it never arrived.
         """
-        kind = message.kind.value
+        kind = message.kind._value_
         self.dropped += copies
         self.dropped_by_kind[kind] = self.dropped_by_kind.get(kind, 0) + copies
 
@@ -83,7 +119,7 @@ class ChannelStats:
         The re-send itself is charged through the normal accounting funnel;
         this marks how much of the traffic was retransmission overhead.
         """
-        kind = message.kind.value
+        kind = message.kind._value_
         self.retransmitted += copies
         self.retransmitted_by_kind[kind] = (
             self.retransmitted_by_kind.get(kind, 0) + copies
@@ -91,7 +127,7 @@ class ChannelStats:
 
     def record_duplicate(self, message: Message, copies: int = 1) -> None:
         """Count ``copies`` arrivals of ``message`` suppressed as duplicates."""
-        kind = message.kind.value
+        kind = message.kind._value_
         self.duplicates += copies
         self.duplicates_by_kind[kind] = (
             self.duplicates_by_kind.get(kind, 0) + copies
@@ -255,7 +291,7 @@ class Channel:
         drift between transports: every transmission is charged at *send*
         time, one log entry per charged copy.
         """
-        self.stats.record(message, copies=copies)
+        self.stats.record(message, copies)
         if self.observer is not None:
             self.observer.on_message(message, copies)
         if self._record_log:
@@ -336,9 +372,10 @@ class Channel:
             raise ProtocolError(
                 f"cannot charge {copies} messages / {total_bits} bits"
             )
-        self.stats.record_bulk(kind.value, copies, total_bits)
+        kind_value = kind._value_
+        self.stats.record_bulk(kind_value, copies, total_bits)
         if self.observer is not None:
-            self.observer.on_bulk(kind.value, copies, total_bits)
+            self.observer.on_bulk(kind_value, copies, total_bits)
 
     def adopt_accounting(self, other: "Channel") -> None:
         """Continue ``other``'s cumulative accounting on this channel.

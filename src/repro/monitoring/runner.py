@@ -232,11 +232,12 @@ def _record(
 ) -> None:
     """Append one estimate record at the current network state.
 
-    A record needs only the message and bit totals, so it sums those two
-    counters over the network's channels (``channel.totals()``) instead of
-    merging every per-kind breakdown: on a tree that merge walks every node's
-    counters at every record.  The merged :attr:`stats` still gives the
-    end-of-run totals; both read the same per-channel counters.
+    A record needs only the message and bit totals, so it reads them with
+    ``channel.totals()`` instead of merging every per-kind breakdown.  On a
+    tree those totals are kept running as messages are charged, so a record
+    costs the same however many nodes the tree has.  The merged
+    :attr:`stats` still gives the end-of-run totals; both count the same
+    charges.
     """
     messages, bits = network.channel.totals()
     estimate = network.estimate()

@@ -56,7 +56,7 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, ProtocolError
-from repro.monitoring.channel import Channel, ChannelStats
+from repro.monitoring.channel import Channel, ChannelStats, RunningTotals
 from repro.monitoring.coordinator import Coordinator
 from repro.monitoring.messages import (
     BROADCAST_SITE,
@@ -173,7 +173,8 @@ class ShardCoordinator:
         #: Pushes withheld by the deadband (saved uplink messages).
         self.pushes_suppressed = 0
         self.push_deadband = 0.0
-        # Channel deliveries as of this row's last clock-step estimate check.
+        # Channel deliveries as of this row's last gated estimate check
+        # (:meth:`push_if_delivered`).
         self._delivered_seen = 0
         if self.children:
             self._route_children()
@@ -280,6 +281,20 @@ class ShardCoordinator:
             )
         )
 
+    def push_if_delivered(self, time: int) -> None:
+        """:meth:`push_estimate`, if this row's estimate can have moved.
+
+        On an asynchronous channel a node's estimate moves only when a
+        message is delivered to its coordinator, so the check runs only if
+        the channel delivered since this row's last check, or if a positive
+        push deadband may be withholding a change (a withheld change counts
+        at every check).  Skipped checks would have found nothing to push.
+        """
+        delivered = self.network.channel.delivered_count
+        if delivered != self._delivered_seen or self.push_deadband > 0.0:
+            self._delivered_seen = delivered
+            self.push_estimate(time)
+
     def on_root_message(self, message: Message) -> None:
         """Record a level change re-sent by the parent aggregator."""
         if message.kind is not MessageKind.BROADCAST:
@@ -338,6 +353,11 @@ class RootAggregator(Coordinator):
         #: event counts the stale shards it would have refreshed).
         self.broadcasts_suppressed = 0
         self._estimate_at_broadcast = 0.0
+        # Imported here, once per aggregator: repro.core builds on
+        # repro.monitoring, so a module-level import would be circular.
+        from repro.core.blocks import block_level
+
+        self._block_level = block_level
 
     def estimate(self) -> float:
         """Merged estimate: the sum of the shards' pushed estimates."""
@@ -361,13 +381,8 @@ class RootAggregator(Coordinator):
 
     def _refresh_level(self, time: int) -> None:
         """Recompute the global level; re-send it to shards that are stale."""
-        # Imported lazily: repro.core builds on repro.monitoring, so a
-        # module-level import here would be circular.  At call time the core
-        # package is fully initialised.
-        from repro.core.blocks import block_level
-
         estimate = self.estimate()
-        self.level = block_level(int(round(estimate)), self.num_sites)
+        self.level = self._block_level(int(round(estimate)), self.num_sites)
         stale = [
             shard_id
             for shard_id in range(self.num_shards)
@@ -411,18 +426,25 @@ class ShardedChannelView:
     subtree, then the node's own channel).  It is built once and rebuilt by
     :meth:`refresh` when a migration rebuilds a leaf network; cumulative
     stats stay monotone because rebuilt channels adopt their predecessor's
-    counters.
+    counters.  Every channel's counters feed one :class:`RunningTotals`, so
+    :meth:`totals` is O(1) however many nodes the tree has.
     """
 
     def __init__(self, network: "ShardedNetwork") -> None:
         self._network = network
+        self._totals = RunningTotals()
         self.refresh()
 
     def refresh(self) -> None:
-        """Re-read every node's channel from the network's table."""
+        """Re-read every node's channel; restart the totals at their sums.
+
+        A migration calls this after its rebuilt leaf channels adopt their
+        predecessors' counters, so the running totals stay exact.
+        """
         self.channels: Tuple[Channel, ...] = tuple(
             row.network.channel for row in self._network._post
         )
+        self._totals.join(channel.stats for channel in self.channels)
 
     @property
     def is_synchronous(self) -> bool:
@@ -435,13 +457,14 @@ class ShardedChannelView:
         return ChannelStats.merge(channel.stats for channel in self.channels)
 
     def totals(self) -> Tuple[int, int]:
-        """``(messages, bits)`` over every channel, per-kind counts unmerged."""
-        messages = bits = 0
-        for channel in self.channels:
-            stats = channel.stats
-            messages += stats.messages
-            bits += stats.bits
-        return messages, bits
+        """``(messages, bits)`` over every channel, kept as they are charged.
+
+        Every channel's counters bump one shared :class:`RunningTotals` in
+        the same charge, so this reads two integers instead of walking the
+        channels (per-kind counts stay unmerged; :attr:`stats` merges them).
+        """
+        totals = self._totals
+        return totals.messages, totals.bits
 
     def enable_log(self) -> None:
         """Enable the per-transmission log on every underlying channel."""
@@ -536,6 +559,11 @@ class ShardedNetwork:
         self._levels = levels
         self._post: Tuple[ShardCoordinator, ...] = tuple(_post_order(root, []))
         self.channel = ShardedChannelView(self)
+        # Delivery gates its path pushes only when every channel counts
+        # deliveries (a mixed tree is refused by the runner).
+        self._asynchronous = not any(
+            channel.is_synchronous for channel in self.channel.channels
+        )
         # Exact per-site running value and update count.  This is what the
         # live-migration state handoff checkpoints a site group from; the
         # default-0 entries of never-touched sites are never stored.
@@ -662,11 +690,22 @@ class ShardedNetwork:
     # -- delivery ------------------------------------------------------------
 
     def deliver_update(self, time: int, site_id: int, delta: int) -> None:
-        """Route one stream update down to its leaf, then push bottom-up."""
+        """Route one stream update down to its leaf, then push bottom-up.
+
+        On an asynchronous tree a path row checks its estimate only if its
+        channel delivered since its last check (or its push deadband is
+        positive), the rule of :meth:`advance_to`; a synchronous tree checks
+        every row on the path.
+        """
         row, local_id = self._leaf(site_id)
         row.network.deliver_update(time, local_id, delta)
+        push = (
+            ShardCoordinator.push_if_delivered
+            if self._asynchronous
+            else ShardCoordinator.push_estimate
+        )
         while row.parent is not None:
-            row.push_estimate(time)
+            push(row, time)
             row = row.parent
         self._site_values[site_id] += int(delta)
         self._site_counts[site_id] += 1
@@ -710,10 +749,11 @@ class ShardedNetwork:
         channel delivered since its last check (a node's estimate moves only
         on a delivery to its coordinator) or its push deadband is positive
         (a withheld change counts at every check), so every send and push
-        count is unchanged.  Delivery, :meth:`drain` and migration push
-        their paths unconditionally: delivery also drives synchronous trees,
-        whose span kernel moves a leaf coordinator without a delivery, and
-        migration rebuilds a leaf directly.
+        count is unchanged.  :meth:`deliver_update` gates its path pushes the
+        same way.  :meth:`deliver_batch`, :meth:`drain` and migration push
+        their paths unconditionally: the span kernel moves a leaf
+        coordinator without a delivery, and migration rebuilds a leaf
+        directly.
         """
         _advance(self._root, until, int(until))
 
@@ -745,10 +785,7 @@ def _advance(row: ShardCoordinator, until: float, time: int) -> None:
     row.network.channel.advance_to(until)
     for child in row.children:
         _advance(child, until, time)
-        delivered = child.network.channel.delivered_count
-        if delivered != child._delivered_seen or child.push_deadband > 0.0:
-            child._delivered_seen = delivered
-            child.push_estimate(time)
+        child.push_if_delivered(time)
 
 
 def _drain(row: ShardCoordinator) -> List[Channel]:

@@ -1,6 +1,12 @@
 """Tests for messages, bit accounting and the counted channel."""
 
+import copy
+import pickle
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ProtocolError
 from repro.monitoring import (
@@ -12,6 +18,7 @@ from repro.monitoring import (
     integer_bit_length,
     message_bits,
 )
+from repro.monitoring.messages import HEADER_BITS
 
 
 def _report(payload=None, sender=0):
@@ -44,6 +51,138 @@ class TestBitAccounting:
         assert message_bits(empty) == 16
         assert message_bits(with_payload) == 16 + 9
         assert with_payload.bits() == message_bits(with_payload)
+
+
+def _reference_value_bits(value):
+    """The paper's word accounting, restated: sign + magnitude, floats a word."""
+    if isinstance(value, (bool, int, np.integer)):
+        return 1 + max(1, abs(int(value)).bit_length())
+    return 32
+
+
+#: Payload values of every type the protocols send: Python ints (negative,
+#: zero, past 64 bits), bools, NumPy integer scalars, floats, NumPy floats.
+_PAYLOAD_VALUES = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([0, -1, 1, 2**63, 2**64, -(2**64), 2**64 + 1]),
+    st.booleans(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=-(2**31), max_value=2**31 - 1).map(np.int32),
+    st.integers(min_value=0, max_value=2**64 - 1).map(np.uint64),
+    st.integers(min_value=0, max_value=255).map(np.uint8),
+    st.floats(allow_nan=False),
+    st.floats(allow_nan=False, width=32).map(np.float32),
+    st.floats(allow_nan=False).map(np.float64),
+)
+
+
+class TestMessageBits:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        payload=st.dictionaries(
+            st.sampled_from(["count", "change", "level", "close", "estimate"]),
+            _PAYLOAD_VALUES,
+            max_size=5,
+        ),
+        kind=st.sampled_from(list(MessageKind)),
+    )
+    def test_bits_are_the_header_plus_each_value_once(self, payload, kind):
+        message = Message(kind, 0, COORDINATOR, payload, 3)
+        expected = HEADER_BITS + sum(
+            _reference_value_bits(value) for value in payload.values()
+        )
+        assert message_bits(message) == message.bits() == (
+            HEADER_BITS + sum(integer_bit_length(v) for v in payload.values())
+        )
+        assert message.bits() == expected
+
+    def test_charged_bits_match_the_payload(self):
+        channel = Channel(num_sites=1)
+        channel.register_coordinator(lambda m: None)
+        payload = {"count": -(2**64), "change": np.int64(-5), "estimate": 2.5}
+        channel.send_to_coordinator(_report(payload))
+        assert channel.stats.bits == HEADER_BITS + 66 + 4 + 32
+        assert channel.stats.bits_by_kind == {"report": HEADER_BITS + 102}
+
+
+class TestMessageContract:
+    def _message(self, **overrides):
+        fields = dict(
+            kind=MessageKind.REPLY,
+            sender=3,
+            receiver=COORDINATOR,
+            payload={"count": 7, "change": -2},
+            time=11,
+        )
+        fields.update(overrides)
+        return Message(**fields)
+
+    def test_fields_read_by_name(self):
+        message = self._message()
+        assert message.kind is MessageKind.REPLY
+        assert message.sender == 3
+        assert message.receiver == COORDINATOR
+        assert message.payload == {"count": 7, "change": -2}
+        assert message.time == 11
+
+    def test_keyword_and_positional_construction_agree(self):
+        positional = Message(
+            MessageKind.REPLY, 3, COORDINATOR, {"count": 7, "change": -2}, 11
+        )
+        assert positional == self._message()
+        assert positional.bits() == self._message().bits()
+
+    def test_payload_and_time_default(self):
+        first = Message(MessageKind.REQUEST, COORDINATOR, 0)
+        second = Message(kind=MessageKind.REQUEST, sender=COORDINATOR, receiver=0)
+        assert first.payload == {} and first.time == 0
+        assert first.payload is not second.payload
+        assert first.bits() == HEADER_BITS
+
+    def test_equality(self):
+        message = self._message()
+        assert message == self._message()
+        assert not message != self._message()
+        assert message != self._message(time=12)
+        assert message != self._message(kind=MessageKind.REPORT)
+        assert message != self._message(payload={"count": 7})
+        # Equal fields make equal messages, whatever each payload value costs.
+        assert self._message(payload={"x": 1}) == self._message(payload={"x": 1.0})
+        assert message != (
+            MessageKind.REPLY, 3, COORDINATOR, {"count": 7, "change": -2}, 11
+        )
+
+    def test_repr(self):
+        assert repr(self._message()) == (
+            "Message(kind=<MessageKind.REPLY: 'reply'>, sender=3, receiver=-2, "
+            "payload={'count': 7, 'change': -2}, time=11)"
+        )
+        assert repr(Message(MessageKind.BROADCAST, COORDINATOR, BROADCAST_SITE)) == (
+            "Message(kind=<MessageKind.BROADCAST: 'broadcast'>, sender=-2, "
+            "receiver=-1, payload={}, time=0)"
+        )
+
+    @pytest.mark.parametrize(
+        "name", ["kind", "sender", "receiver", "payload", "time"]
+    )
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        message = self._message()
+        with pytest.raises(AttributeError):
+            setattr(message, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(message, name)
+        assert message == self._message()
+
+    def test_pickle_and_copy_round_trip(self):
+        message = self._message()
+        for clone in (
+            pickle.loads(pickle.dumps(message)),
+            copy.copy(message),
+            copy.deepcopy(message),
+        ):
+            assert clone == message
+            assert clone.bits() == message.bits()
+            assert repr(clone) == repr(message)
 
 
 class TestChannel:
