@@ -25,10 +25,11 @@ speed" target.
 
 A third sweep drives the *descent* regime: an oscillating mean-reverting
 walk whose block closes go **down** the level ladder as often as up.  The
-close ladder probes such schedules in bounded adaptive chunks, and each
-tracker's window hook charges a whole mixed-level window in one
-formulation, so these rows must match per-update delivery on every counter
-and beat it on throughput.
+close ladder steps such schedules one close at a time in plain Python and
+probes only same-level stretches that outlast that walk, in chunks that
+grow while the level holds; each tracker's window hook charges a whole
+mixed-level window in one formulation, so these rows must match per-update
+delivery on every counter and beat it on throughput.
 """
 
 import dataclasses

@@ -36,7 +36,11 @@ the engines cannot drift apart:
   per-close level schedule) is computed in closed form instead of one
   simulated close per block.  This is the regime that dominates batched
   cost at small ``k`` and low levels, where blocks are only ``k * ceil(2^(r-1))``
-  updates long.
+  updates long.  The per-close level schedule (the close ladder,
+  :func:`_close_ladder`) is stepped one close at a time in plain Python
+  while the level keeps changing, as it does when the value hovers at a
+  level-band edge, and probed with NumPy only along long same-level
+  stretches, where the value lingers inside one band.
 
 Exactness contract: within one ``receive_batch`` call nothing is observable
 — the runner records estimates only between segments — so the kernel must
@@ -48,6 +52,7 @@ stream generators and shard counts.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from typing import Callable, Sequence, Tuple
 
@@ -101,17 +106,25 @@ def _band_edges(num_sites: int) -> np.ndarray:
     return np.array(edges, dtype=np.int64)
 
 
+@lru_cache(maxsize=None)
+def _band_edge_list(num_sites: int) -> list:
+    """:func:`_band_edges` as Python ints, for ``bisect_right`` on one magnitude."""
+    return _band_edges(num_sites).tolist()
+
+
 def _count_thresholds(levels: np.ndarray) -> np.ndarray:
     """Per-site count-report thresholds ``ceil(2^(r-1))`` for an array of levels."""
     return np.int64(1) << np.maximum(levels.astype(np.int64) - 1, 0)
 
 
-#: Candidate-chunk bounds for the close ladder's adaptive walk.  After a
-#: level change the next same-level stretch starts small (oscillating
-#: schedules flip levels every few closes, so materialising the whole
-#: remaining progression would gather O(run) elements per stretch) and grows
-#: geometrically while a stretch proves stable, so monotone schedules still
-#: classify long stretches in a handful of passes.
+#: Bounds of the close ladder's walk.  Each same-level stretch is first
+#: stepped one close at a time for up to ``_LADDER_CHUNK_MIN`` closes: a
+#: schedule hovering at a band edge changes level every few closes, and a
+#: scalar step costs far less than the fixed overhead of a NumPy probe.  A
+#: stretch that outlasts the scalar walk — a value that stays inside one
+#: band for many closes — is probed in vectorised chunks of
+#: ``_LADDER_CHUNK_MIN * _LADDER_CHUNK_GROWTH``, growing by
+#: ``_LADDER_CHUNK_GROWTH`` while the level holds.
 _LADDER_CHUNK_MIN = 8
 _LADDER_CHUNK_GROWTH = 4
 
@@ -128,62 +141,82 @@ def _close_ladder(
     Starting from the triggered close at ``index`` (whose boundary value is
     ``offset + prefix[index]``), each close's *post* level sets the cycle
     length ``k * ceil(2^(r-1))`` to the next close, so the ladder is walked
-    one vectorised same-level stretch at a time: candidate positions are an
+    one same-level stretch at a time: the stretch's closes sit on an
     arithmetic progression, their boundary values come straight off the
     prefix sums, their levels off the band-edge bisect, and the stretch ends
     either at the run's edge or one past the first level change (the
     transition close is taken — its broadcast re-levels the sites — and the
     walk continues at the new level's cycle).
 
-    The first probe takes the whole remaining progression (a monotone or
-    same-level schedule resolves in one gather); once a level change has
-    been seen the walk switches to bounded chunks growing geometrically
-    from :data:`_LADDER_CHUNK_MIN`, so a schedule that flips levels every
-    few closes — a random walk hovering at a band edge — gathers O(closes)
-    candidate elements instead of O(closes x run length).
+    Each stretch is walked close by close in plain Python (``prefix.item``
+    and ``bisect_right``) for up to :data:`_LADDER_CHUNK_MIN` closes, so a
+    schedule that flips levels every few closes — a walk hovering at a band
+    edge — pays a few scalar steps per stretch instead of a dozen NumPy
+    calls.  A walk that drifts across bands leaves each one within a few
+    closes too, so only an in-band stretch — the value lingering inside one
+    band, as in same-level and descent schedules — outlasts the scalar walk;
+    its rest is probed vectorised in chunks growing by
+    :data:`_LADDER_CHUNK_GROWTH`, which gathers O(its closes) candidates.
 
     Returns ``(positions, boundaries, levels_after)`` as equal-length int64
     arrays; ``positions[0] == index`` always.
     """
-    edges = _band_edges(num_sites)
-    first_boundary = offset + int(prefix[index])
-    level = int(edges.searchsorted(abs(first_boundary), side="right"))
-    pos_chunks = [np.array([index], dtype=np.int64)]
-    bound_chunks = [np.array([first_boundary], dtype=np.int64)]
-    level_chunks = [np.array([level], dtype=np.int64)]
+    edge_list = _band_edge_list(num_sites)
+    last = length - 1
     pos = index
-    chunk = 0  # 0: no level change seen yet; probe the whole progression.
+    boundary = offset + prefix.item(pos)
+    level = bisect_right(edge_list, abs(boundary))
+    positions, boundaries, levels = [pos], [boundary], [level]
+    probed = []  # ladder pieces in order, once a stretch needed a probe
     while True:
         cycle = num_sites * (1 << max(level - 1, 0))
-        max_more = (length - 1 - pos) // cycle
-        if max_more <= 0:
-            break
-        want = max_more if chunk == 0 else min(chunk, max_more)
-        candidates = pos + cycle * np.arange(1, want + 1, dtype=np.int64)
-        bounds = offset + prefix[candidates]
-        cand_levels = edges.searchsorted(np.abs(bounds), side="right")
-        stable = cand_levels == level
-        if stable.all():
-            take = want
-        else:
-            take = int(np.argmin(stable)) + 1
-        pos_chunks.append(candidates[:take])
-        bound_chunks.append(bounds[:take])
-        level_chunks.append(cand_levels[:take].astype(np.int64))
-        pos = int(candidates[take - 1])
-        new_level = int(cand_levels[take - 1])
-        if new_level == level:
-            if take == max_more:
+        more = (last - pos) // cycle
+        new_level = level
+        for _ in range(min(more, _LADDER_CHUNK_MIN)):
+            pos += cycle
+            boundary = offset + prefix.item(pos)
+            new_level = bisect_right(edge_list, abs(boundary))
+            positions.append(pos)
+            boundaries.append(boundary)
+            levels.append(new_level)
+            if new_level != level:
                 break
-            # Stable partial chunk: same level continues; widen the probe.
-            chunk = max(chunk, _LADDER_CHUNK_MIN) * _LADDER_CHUNK_GROWTH
-        else:
-            level = new_level
+        if new_level == level and more > _LADDER_CHUNK_MIN:
+            # An in-band stretch outlasted the scalar walk: probe its rest.
+            edges = _band_edges(num_sites)
+            probed.append((positions, boundaries, levels))
+            positions, boundaries, levels = [], [], []
             chunk = _LADDER_CHUNK_MIN
-    return (
-        np.concatenate(pos_chunks),
-        np.concatenate(bound_chunks),
-        np.concatenate(level_chunks),
+            while new_level == level:
+                more = (last - pos) // cycle
+                if more == 0:
+                    break
+                chunk *= _LADDER_CHUNK_GROWTH
+                want = min(chunk, more)
+                candidates = np.arange(
+                    pos + cycle, pos + want * cycle + 1, cycle, dtype=np.int64
+                )
+                bounds = prefix[candidates]
+                bounds += offset
+                cand_levels = edges.searchsorted(np.abs(bounds), side="right")
+                changes = np.flatnonzero(cand_levels != level)
+                take = int(changes[0]) + 1 if changes.size else want
+                probed.append((candidates[:take], bounds[:take], cand_levels[:take]))
+                pos = int(candidates[take - 1])
+                new_level = int(cand_levels[take - 1])
+        if new_level == level:
+            break  # the run ends inside this stretch
+        level = new_level
+    if not probed:
+        return (
+            np.array(positions, dtype=np.int64),
+            np.array(boundaries, dtype=np.int64),
+            np.array(levels, dtype=np.int64),
+        )
+    probed.append((positions, boundaries, levels))
+    return tuple(
+        np.concatenate([np.asarray(piece, dtype=np.int64) for piece in column])
+        for column in zip(*probed)
     )
 
 

@@ -340,7 +340,10 @@ class RootAggregator(Coordinator):
         self._estimates: Dict[int, float] = {s: 0.0 for s in range(num_shards)}
         #: Global block level derived from the merged estimate.
         self.level = 0
-        self._shard_levels: Dict[int, int] = {s: 0 for s in range(num_shards)}
+        #: The level every shard holds: 0 at the start, then the last level
+        #: multicast (a multicast reaches every shard and a withheld one
+        #: none, so the shards never disagree).
+        self._sent_level = 0
         #: Estimate reports received, total and per shard.
         self.reports = 0
         self.reports_by_shard: Dict[int, int] = {s: 0 for s in range(num_shards)}
@@ -380,20 +383,15 @@ class RootAggregator(Coordinator):
         self._refresh_level(message.time)
 
     def _refresh_level(self, time: int) -> None:
-        """Recompute the global level; re-send it to shards that are stale."""
+        """Recompute the global level; re-send it to every shard if it moved."""
         estimate = self.estimate()
         self.level = self._block_level(int(round(estimate)), self.num_sites)
-        stale = [
-            shard_id
-            for shard_id in range(self.num_shards)
-            if self._shard_levels[shard_id] != self.level
-        ]
-        if not stale:
+        if self.level == self._sent_level:
             return
         if self.broadcast_deadband > 0.0 and abs(
             estimate - self._estimate_at_broadcast
         ) <= self.broadcast_deadband * abs(self._estimate_at_broadcast):
-            self.broadcasts_suppressed += len(stale)
+            self.broadcasts_suppressed += self.num_shards
             return
         self._estimate_at_broadcast = estimate
         self.multicast(
@@ -404,10 +402,9 @@ class RootAggregator(Coordinator):
                 payload={"level": self.level},
                 time=time,
             ),
-            stale,
+            list(range(self.num_shards)),
         )
-        for shard_id in stale:
-            self._shard_levels[shard_id] = self.level
+        self._sent_level = self.level
 
 
 class ShardedChannelView:

@@ -2,7 +2,7 @@
 
 ``repro.engine.SpanKernel`` owns run segmentation, trigger arithmetic, bulk
 accounting and multi-block fast-forwarding for every delivery engine.  These
-tests pin its contract from three sides:
+tests pin its contract from four sides:
 
 * a hypothesis property test asserting bit-for-bit equivalence (estimates,
   message counts, bit counts, per-kind breakdowns) of the batched engine —
@@ -13,7 +13,9 @@ tests pin its contract from three sides:
   it was built for (a counting kernel), so the property test cannot pass
   vacuously;
 * the kernel's single fallback path (``SpanKernel.replay``), whose prefix
-  semantics must match per-update delivery exactly when a run errors midway.
+  semantics must match per-update delivery exactly when a run errors midway;
+* the close ladder (``_close_ladder``) against a close-by-close reference,
+  on walks that hover at a level-band edge and on long drifts.
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from repro.baselines import CormodeCounter, LiuStyleCounter, NaiveCounter
 from repro.core import DeterministicCounter, RandomizedCounter
 from repro.engine import DEFAULT_KERNEL, SpanKernel, segment_cuts
+from repro.engine.kernel import _LADDER_CHUNK_MIN, _close_ladder
 from repro.exceptions import StreamError
 from repro.monitoring import build_tree_network
 from repro.monitoring.runner import run_tracking
@@ -247,6 +250,114 @@ class TestKernelFallback:
         assert slow.stats.messages == fast.stats.messages
         assert slow.stats.bits == fast.stats.bits
         assert slow.estimate() == fast.estimate()
+
+
+def _reference_ladder(prefix, index, length, offset, num_sites):
+    """The close ladder one close at a time, straight from its definition.
+
+    A close at ``pos`` has boundary ``offset + prefix[pos]`` and post level
+    the number of edges ``4k * 2^j`` at or below ``|boundary|``; the next
+    close sits one cycle ``k * 2^max(r - 1, 0)`` later, while inside the run.
+    """
+    positions, boundaries, levels = [], [], []
+    pos = index
+    while pos < length:
+        boundary = offset + int(prefix[pos])
+        level = 0
+        while 4 * num_sites * 2**level <= abs(boundary):
+            level += 1
+        positions.append(pos)
+        boundaries.append(boundary)
+        levels.append(level)
+        pos += num_sites * 2 ** max(level - 1, 0)
+    return positions, boundaries, levels
+
+
+def _stretch_lengths(levels):
+    """Closes per same-level stretch (a level change starts a new one)."""
+    lengths = [1]
+    for before, after in zip(levels, levels[1:]):
+        if after == before:
+            lengths[-1] += 1
+        else:
+            lengths.append(1)
+    return lengths
+
+
+@st.composite
+def _ladder_inputs(draw):
+    """``(prefix, index, length, offset, k)`` for ±1 walks of three shapes.
+
+    * ``hover``: a mean-reverting walk whose boundary starts within a few
+      units of a band edge ``±4k * 2^j``, so the level flips close after close;
+    * ``drift``: a walk with a fixed bias, from none (the value lingers in
+      one band, so same-level stretches outlast the scalar walk and reach
+      the vectorised probes) to every step one way (each band left within a
+      few closes);
+    * ``flat``: alternating steps, one stretch over the whole run.
+    """
+    num_sites = draw(st.integers(min_value=1, max_value=64))
+    shape = draw(st.sampled_from(["hover", "drift", "flat"]))
+    length = draw(st.integers(min_value=1, max_value=4096))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    edge = 4 * num_sites * 2 ** draw(st.integers(min_value=0, max_value=6))
+    sign = draw(st.sampled_from([1, -1]))
+    if shape == "hover":
+        pull = draw(st.floats(min_value=0.01, max_value=0.3))
+        draws = rng.random(length)
+        deltas = np.empty(length, dtype=np.int64)
+        value = 0
+        for step in range(length):
+            up = min(max(0.5 - pull * value, 0.05), 0.95)
+            deltas[step] = 1 if draws[step] < up else -1
+            value += deltas[step]
+        start = sign * edge + draw(st.integers(min_value=-4, max_value=4))
+    elif shape == "drift":
+        up = draw(st.floats(min_value=0.5, max_value=1.0))
+        deltas = np.where(rng.random(length) < up, 1, -1) * sign
+        start = draw(st.integers(min_value=-2 * edge, max_value=2 * edge))
+    else:
+        deltas = np.where(np.arange(length) % 2 == 0, 1, -1) * sign
+        start = draw(st.integers(min_value=-2 * edge, max_value=2 * edge))
+    prefix = np.cumsum(deltas).astype(np.int64)
+    index = draw(
+        st.one_of(st.just(length - 1), st.integers(min_value=0, max_value=length - 1))
+    )
+    return prefix, index, length, start - int(prefix[index]), num_sites
+
+
+class TestCloseLadder:
+    @staticmethod
+    def _assert_matches_reference(prefix, index, length, offset, num_sites):
+        ladder = _close_ladder(prefix, index, length, offset, num_sites)
+        expected = _reference_ladder(prefix, index, length, offset, num_sites)
+        for array, values in zip(ladder, expected):
+            assert array.dtype == np.int64
+            assert array.tolist() == values
+        assert ladder[0][0] == index
+        return expected[2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=_ladder_inputs())
+    def test_matches_close_by_close_reference(self, inputs):
+        self._assert_matches_reference(*inputs)
+
+    def test_long_stretches_match_reference(self):
+        """Stretches longer than the scalar walk, before and after a level
+        change, so the vectorised probes are exercised on every run."""
+        # Alternating steps at 0: one level-0 stretch over the whole run.
+        flat = np.cumsum(np.where(np.arange(4096) % 2 == 0, 1, -1)).astype(np.int64)
+        levels = self._assert_matches_reference(flat, 0, 4096, 0, 2)
+        assert _stretch_lengths(levels) == [len(levels)]
+        assert len(levels) > _LADDER_CHUNK_MIN
+        # Climb through levels 0 and 1, then hover inside level 2's band.
+        climb = np.concatenate(
+            [np.ones(40, dtype=np.int64), np.where(np.arange(4000) % 2 == 0, 1, -1)]
+        )
+        levels = self._assert_matches_reference(np.cumsum(climb), 0, 4040, 0, 4)
+        stretches = _stretch_lengths(levels)
+        assert len(stretches) > 1
+        assert stretches[-1] > _LADDER_CHUNK_MIN
 
 
 class TestSegmentationOwnership:

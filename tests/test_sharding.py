@@ -36,6 +36,7 @@ from repro.monitoring import (
     partition_sites,
     run_tracking,
 )
+from repro.monitoring.messages import COORDINATOR, Message
 from repro.streams import (
     BlockedAssignment,
     RoundRobinAssignment,
@@ -260,6 +261,50 @@ class TestHierarchicalMerge:
             network.root.reports_by_shard.values()
         )
         assert sum(shard.pushes for shard in network.shards) == network.root.reports
+
+    def test_withheld_level_change_reaches_the_stale_shards_later(self):
+        """A level change the broadcast deadband withholds reaches every
+        shard at the next refresh that is not withheld; refreshes at the
+        level every shard holds send nothing."""
+
+        class RecordingChannel:
+            def __init__(self):
+                self.multicasts = []
+
+            def register_coordinator(self, handler):
+                pass
+
+            def multicast(self, message, receivers):
+                self.multicasts.append((message.payload["level"], list(receivers)))
+
+        root = RootAggregator(num_shards=3, num_sites=4, broadcast_deadband=0.5)
+        channel = RecordingChannel()
+        root.attach(channel)
+        # k = 4: levels 2 and 3 are [32, 64) and [64, 128).
+        for time, (shard_id, estimate) in enumerate(
+            [
+                (0, 60),  # level 2, sent to every shard
+                (1, 5),  # 65: level 3, withheld (|65 - 60| <= 30)
+                (1, 7),  # 67: still withheld
+                (1, -1),  # 59: back at level 2, which every shard holds
+                (1, 6),  # 66: level 3, withheld again
+                (2, 40),  # 106: level 3, no longer withheld
+                (2, 41),  # 107: level 3, which every shard now holds
+            ],
+            start=1,
+        ):
+            root.receive_message(
+                Message(
+                    kind=MessageKind.REPORT,
+                    sender=shard_id,
+                    receiver=COORDINATOR,
+                    payload={"estimate": float(estimate)},
+                    time=time,
+                )
+            )
+        assert channel.multicasts == [(2, [0, 1, 2]), (3, [0, 1, 2])]
+        assert root.broadcasts_suppressed == 9
+        assert root.level == 3
 
     def test_total_stats_decompose_into_local_plus_root(self):
         network = build_tree_network(DeterministicCounter(6, 0.1), fanouts=[3])
