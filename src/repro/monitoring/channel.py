@@ -157,29 +157,9 @@ class ChannelStats:
         """
         if not isinstance(other, ChannelStats):
             return NotImplemented
-
-        def merged(left: dict[str, int], right: dict[str, int]) -> dict[str, int]:
-            out = dict(left)
-            for kind, count in right.items():
-                out[kind] = out.get(kind, 0) + count
-            return out
-
-        return ChannelStats(
-            messages=self.messages + other.messages,
-            bits=self.bits + other.bits,
-            by_kind=merged(self.by_kind, other.by_kind),
-            bits_by_kind=merged(self.bits_by_kind, other.bits_by_kind),
-            dropped=self.dropped + other.dropped,
-            retransmitted=self.retransmitted + other.retransmitted,
-            duplicates=self.duplicates + other.duplicates,
-            dropped_by_kind=merged(self.dropped_by_kind, other.dropped_by_kind),
-            retransmitted_by_kind=merged(
-                self.retransmitted_by_kind, other.retransmitted_by_kind
-            ),
-            duplicates_by_kind=merged(
-                self.duplicates_by_kind, other.duplicates_by_kind
-            ),
-        )
+        total = self.snapshot()
+        total.add(other)
+        return total
 
     def __radd__(self, other: object) -> "ChannelStats":
         """Support ``sum(stats_iterable)`` (and ``sum(..., ChannelStats())``)."""
@@ -221,21 +201,30 @@ class ChannelStats:
         """
         total = cls()
         for item in stats:
-            total.messages += item.messages
-            total.bits += item.bits
-            total.dropped += item.dropped
-            total.retransmitted += item.retransmitted
-            total.duplicates += item.duplicates
-            for target, source in (
-                (total.by_kind, item.by_kind),
-                (total.bits_by_kind, item.bits_by_kind),
-                (total.dropped_by_kind, item.dropped_by_kind),
-                (total.retransmitted_by_kind, item.retransmitted_by_kind),
-                (total.duplicates_by_kind, item.duplicates_by_kind),
-            ):
-                for kind, count in source.items():
-                    target[kind] = target.get(kind, 0) + count
+            total.add(item)
         return total
+
+    def add(self, other: "ChannelStats") -> None:
+        """Add ``other``'s counters into this one, in place.
+
+        For building a total: a tree's running totals do not see it.  A
+        per-kind key new to this counter goes after the keys it holds, so
+        merging in a fixed order fixes the key order of every breakdown.
+        """
+        self.messages += other.messages
+        self.bits += other.bits
+        self.dropped += other.dropped
+        self.retransmitted += other.retransmitted
+        self.duplicates += other.duplicates
+        for target, source in (
+            (self.by_kind, other.by_kind),
+            (self.bits_by_kind, other.bits_by_kind),
+            (self.dropped_by_kind, other.dropped_by_kind),
+            (self.retransmitted_by_kind, other.retransmitted_by_kind),
+            (self.duplicates_by_kind, other.duplicates_by_kind),
+        ):
+            for kind, count in source.items():
+                target[kind] = target.get(kind, 0) + count
 
 
 class Channel:

@@ -213,17 +213,19 @@ def _finish(result: TrackingResult, network):
     """Fill in the end-of-run totals; return the merged counters read.
 
     Totals and the per-kind breakdown come from the network's merged
-    :class:`~repro.monitoring.channel.ChannelStats`.  Flat networks expose
-    no ``level_summary`` and keep ``result.levels`` ``None``; sharded/tree
-    networks report one row per level, root first.
+    :class:`~repro.monitoring.channel.ChannelStats`.  A flat network's are
+    its one channel's counters, and ``result.levels`` stays ``None``; a
+    tree's come with one row per level, root first, from one walk over its
+    channels (:meth:`ShardedNetwork.accounting`).
     """
-    stats = network.stats
+    accounting = getattr(network, "accounting", None)
+    if accounting is None:
+        stats = network.stats
+    else:
+        stats, result.levels = accounting()
     result.total_messages = stats.messages
     result.total_bits = stats.bits
     result.messages_by_kind = dict(stats.by_kind)
-    level_summary = getattr(network, "level_summary", None)
-    if callable(level_summary):
-        result.levels = level_summary()
     return stats
 
 

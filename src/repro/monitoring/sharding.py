@@ -637,16 +637,30 @@ class ShardedNetwork:
         """Counters of the root aggregator's channel."""
         return self.root_network.stats.snapshot()
 
+    def _merge_levels(self) -> Tuple[ChannelStats, List[ChannelStats]]:
+        """The merged counters and each level's, from one post-order walk.
+
+        Post-order visits each level's rows left to right, so every merge
+        meets the per-kind keys in the order a merge of :attr:`stats` or of
+        one level alone meets them.  A channel that never charged adds
+        nothing and is skipped.
+        """
+        total = ChannelStats()
+        levels = [ChannelStats() for _ in self._levels]
+        for row in self._post:
+            stats = row.network.stats
+            if stats.by_kind:
+                total.add(stats)
+                levels[row.level].add(stats)
+        return total, levels
+
     def level_stats(self) -> List[ChannelStats]:
         """Per-level channel counters, root level first, leaf level last.
 
         Entry ``d`` merges the channels of every node at depth ``d``, left
         to right.  Summing the list reproduces :attr:`stats` exactly.
         """
-        return [
-            ChannelStats.merge(row.network.stats for row in rows)
-            for rows in self._levels
-        ]
+        return self._merge_levels()[1]
 
     def level_summary(self) -> List[dict]:
         """Per-level accounting as JSON-compatible dicts, root level first.
@@ -657,8 +671,17 @@ class ShardedNetwork:
         error budget's traffic effect is visible per level in
         ``result.summary()``.
         """
+        return self.accounting()[1]
+
+    def accounting(self) -> Tuple[ChannelStats, List[dict]]:
+        """:attr:`stats` and :meth:`level_summary`, from one channel walk.
+
+        What the end of a run reads: both come out of one post-order walk,
+        with the key orders they have when read one at a time.
+        """
+        total, level_stats = self._merge_levels()
         out = []
-        for depth, (rows, stats) in enumerate(zip(self._levels, self.level_stats())):
+        for depth, (rows, stats) in enumerate(zip(self._levels, level_stats)):
             entry = {
                 "level": depth,
                 "messages": stats.messages,
@@ -682,7 +705,7 @@ class ShardedNetwork:
             else:
                 entry.update(role="leaf", nodes=len(rows))
             out.append(entry)
-        return out
+        return total, out
 
     # -- delivery ------------------------------------------------------------
 

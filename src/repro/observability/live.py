@@ -14,6 +14,19 @@ the protocol was designed for — continuous monitoring of live channels.
   ``http.server`` endpoint serving ``/metrics`` (Prometheus text format),
   ``/status`` (JSON) and ``/healthz``, each in a daemon thread.
 
+The feed is ingested a **block** at a time.  A block is one ``read1`` of
+up to :data:`FEED_READ_BYTES`, cut at its last newline; the partial line
+after it is carried into the next block, and a line longer than
+:data:`FEED_LINE_BYTES` counts as one error and is dropped up to its
+newline.  The block is parsed outside the tracker lock
+(:func:`parse_feed_block`, which gives exactly the rows and errors
+:func:`parse_feed_line` gives line by line) and its rows are pushed under
+one hold of the lock (:meth:`LiveTracker.push_rows`), so a ``/metrics`` or
+``/status`` request sees the service between blocks, never inside one.
+Between blocks, outside the lock, the feed thread yields the interpreter:
+when it kept the interpreter from one block to the next, a waiting scrape
+mostly lost the tracker lock to the next block and waited out several.
+
 ``repro serve --config spec.json`` drives both (see ``repro.cli``).  The
 spec's ``source.live`` variant declares a feed-fed deployment; a generator
 spec may also be served (its ``sites`` count sizes the network — useful for
@@ -28,7 +41,8 @@ import socketserver
 import threading
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Sequence
+from time import sleep
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import shard_imbalance
 from repro.exceptions import ConfigurationError, ProtocolError, ReproError
@@ -37,10 +51,17 @@ from repro.observability.instrument import NetworkInstrumentation
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracelog import TraceLog
 
-__all__ = ["LiveTracker", "LiveTrackerServer", "parse_feed_line"]
+__all__ = ["LiveTracker", "LiveTrackerServer", "parse_feed_block", "parse_feed_line"]
 
 #: Content type of the Prometheus text exposition format.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Bytes the feed handler asks for per block (one ``read1``).  At ~11 bytes
+#: per line that is up to ~370 updates per hold of the tracker lock.
+FEED_READ_BYTES = 4096
+#: Longest feed line kept, newline excluded; a valid line is ~60 bytes at
+#: most.  Bounds what a feed without newlines can make the handler buffer.
+FEED_LINE_BYTES = 64 * 1024
 
 
 def parse_feed_line(line: str) -> Optional[tuple]:
@@ -60,6 +81,71 @@ def parse_feed_line(line: str) -> Optional[tuple]:
             f"feed lines carry exactly 'time site delta', got {line!r}"
         )
     return int(parts[0]), int(parts[1]), int(parts[2])
+
+
+def parse_feed_block(block: bytes) -> Tuple[List[tuple], int]:
+    """Parse raw feed lines into ``(rows, errors)``.
+
+    ``rows`` and the malformed-line count ``errors`` are what
+    :func:`parse_feed_line` gives on each ``\\n``-terminated line (and a
+    last unterminated one) decoded as UTF-8 with replacement; the block is
+    decoded and split once instead of line by line.
+    """
+    rows = []
+    errors = 0
+    # \n is ASCII, so decoding the block decodes each line as a line alone.
+    for line in block.decode("utf-8", "replace").split("\n"):
+        try:
+            row = parse_feed_line(line)
+        except ValueError:
+            errors += 1
+            continue
+        if row is not None:
+            rows.append(row)
+    return rows, errors
+
+
+def _feed_blocks(read1: Callable[[int], bytes]) -> Iterator[Tuple[bytes, int]]:
+    """Cut a byte stream into blocks of whole lines: ``(block, overlong)``.
+
+    Each ``read1(FEED_READ_BYTES)`` is cut at its last newline, and the
+    partial line after it starts the next block; the stream's unterminated
+    last line is the last block.  A line longer than :data:`FEED_LINE_BYTES`
+    is never carried whole: it is dropped up to its newline and counted in
+    the ``overlong`` of the next block yielded.
+    """
+    carry = bytearray()  # the partial line after the last newline read
+    dropping = False  # inside an over-long line, up to its newline
+    overlong = 0
+    while True:
+        chunk = read1(FEED_READ_BYTES)
+        if not chunk:
+            break
+        if dropping:
+            head = chunk.find(b"\n")
+            if head < 0:
+                continue
+            chunk = chunk[head + 1:]
+            dropping = False
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            carry += chunk
+            if len(carry) > FEED_LINE_BYTES:
+                overlong += 1
+                carry.clear()
+                dropping = True
+            continue
+        head = chunk.find(b"\n")
+        if len(carry) + head > FEED_LINE_BYTES:  # the carried line ends too long
+            overlong += 1
+            block = chunk[head + 1:cut]
+        else:
+            block = bytes(carry) + chunk[:cut]
+        carry[:] = chunk[cut:]
+        yield block, overlong
+        overlong = 0
+    if carry or overlong:
+        yield bytes(carry), overlong
 
 
 class LiveTracker:
@@ -152,19 +238,56 @@ class LiveTracker:
     def push(self, time: int, site: int, delta: int) -> float:
         """Ingest one update; returns the estimate after delivery.
 
-        Thread-safe; this is both the in-process API and what the socket
-        feed calls per line.
+        Thread-safe; the in-process API.  The socket feed pushes a block's
+        rows at once through :meth:`push_rows`, which runs the same
+        per-update body.
         """
         time, site, delta = int(time), int(site), int(delta)
         with self._lock:
-            self.network.deliver_update(time, site, delta)
-            self.updates += 1
-            self.true_value += delta
-            self.last_time = max(self.last_time, time)
+            estimate = self._ingest(time, site, delta)
             self._updates_total.inc()
-            estimate = self.network.estimate()
-            self._check_alerts(time, estimate)
             return estimate
+
+    def push_rows(self, rows: Sequence[Tuple[int, int, int]]) -> Tuple[int, int]:
+        """Ingest ``(time, site, delta)`` rows under one hold of the lock.
+
+        Rows are Python ``int`` triples, as :func:`parse_feed_block` gives
+        them.  Each goes through the per-update body of :meth:`push`; a row
+        whose delivery raises a :class:`ReproError` (a site out of range, a
+        non-unit delta), where :meth:`push` would raise it, is counted and
+        skipped, and the rows after it are still ingested.
+        ``repro_updates_total`` moves once, by the rows ingested.
+
+        Returns:
+            ``(ingested, rejected)`` row counts.
+        """
+        rejected = 0
+        with self._lock:
+            ingest = self._ingest
+            for time, site, delta in rows:
+                try:
+                    ingest(time, site, delta)
+                except ReproError:
+                    rejected += 1
+            ingested = len(rows) - rejected
+            self._updates_total.inc(ingested)
+        return ingested, rejected
+
+    def _ingest(self, time: int, site: int, delta: int) -> float:
+        """Deliver one update; refresh the counters, estimate and alerts.
+
+        The per-update body of :meth:`push` and :meth:`push_rows`; the
+        caller holds the lock and moves ``repro_updates_total``.  A
+        :class:`ReproError` from delivery leaves the service's counters as
+        they were.
+        """
+        self.network.deliver_update(time, site, delta)
+        self.updates += 1
+        self.true_value += delta
+        self.last_time = max(self.last_time, time)
+        estimate = self.network.estimate()
+        self._check_alerts(time, estimate)
+        return estimate
 
     def _relative_error(self, estimate: float) -> float:
         error = abs(estimate - self.true_value)
@@ -299,25 +422,23 @@ class LiveTracker:
 
 
 class _FeedHandler(socketserver.StreamRequestHandler):
-    """One feed connection: parse lines, push updates, count errors."""
+    """One feed connection, ingested a block of whole lines at a time.
+
+    Each block (one ``read1``, cut at its last newline; see
+    :func:`_feed_blocks`) is parsed, and its rows are pushed and counted
+    under one hold of the tracker lock, so scrapes see block boundaries.
+    Malformed lines, over-long lines and rows the network rejects (a site
+    out of range, a non-unit delta) are counted as errors and the
+    connection keeps reading.  After each block the handler yields the
+    interpreter with the tracker lock free: a scrape waiting for the lock
+    gets it then, instead of mostly losing it to the next block.
+    """
 
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
         server: "_FeedServer" = self.server  # type: ignore[assignment]
-        for raw in self.rfile:
-            try:
-                parsed = parse_feed_line(raw.decode("utf-8", "replace"))
-            except ValueError:
-                server.errors += 1
-                continue
-            if parsed is None:
-                continue
-            try:
-                server.tracker.push(*parsed)
-                server.lines += 1
-            except ReproError:
-                # An out-of-range site or a non-unit delta must not kill
-                # the connection; count it and keep reading.
-                server.errors += 1
+        for block, overlong in _feed_blocks(self.rfile.read1):
+            server.ingest(block, overlong)
+            sleep(0)
 
 
 class _FeedServer(socketserver.ThreadingTCPServer):
@@ -327,9 +448,21 @@ class _FeedServer(socketserver.ThreadingTCPServer):
     def __init__(self, address, tracker: LiveTracker) -> None:
         super().__init__(address, _FeedHandler)
         self.tracker = tracker
-        #: Successfully ingested feed lines / rejected ones.
+        #: Successfully ingested feed lines / rejected ones; both move under
+        #: the tracker lock, with the updates they count.
         self.lines = 0
         self.errors = 0
+
+    def ingest(self, block: bytes, overlong: int) -> None:
+        """Parse ``block``; push and count its rows under one lock hold.
+
+        ``overlong`` counts the lines the framing already dropped.
+        """
+        rows, malformed = parse_feed_block(block)
+        with self.tracker._lock:
+            ingested, rejected = self.tracker.push_rows(rows)
+            self.lines += ingested
+            self.errors += overlong + malformed + rejected
 
 
 class LiveTrackerServer:
@@ -399,9 +532,14 @@ class LiveTrackerServer:
         return self._feed.errors
 
     def status(self) -> dict:
-        """The tracker's status extended with the service's own state."""
-        data = self.tracker.status()
-        data["feed"] = {"lines": self._feed.lines, "errors": self._feed.errors}
+        """The tracker's status extended with the service's own state.
+
+        Read under one hold of the tracker lock, so the feed counters count
+        exactly the updates the status shows.
+        """
+        with self.tracker._lock:
+            data = self.tracker.status()
+            data["feed"] = {"lines": self._feed.lines, "errors": self._feed.errors}
         data["endpoints"] = {
             "metrics": f"http://{self.host}:{self.http_port}/metrics",
             "status": f"http://{self.host}:{self.http_port}/status",
